@@ -27,10 +27,13 @@ import numpy as np
 from .core import (
     Digraph,
     Path,
+    bfs_levels,
+    bfs_path,
     build_digraph,
     directed_girth,
     greedy_maximal_path,
     min_out_degree,
+    path_to,
     pattern_cab,
 )
 from .cycle_embed import certificate_from_cycle, digraph_cycle_shape
@@ -56,7 +59,7 @@ from .gadgets import (
     close_chain,
     validate_gadget,
 )
-from .oracle import SearchBudget, SubdivisionCertificate, validate_certificate
+from .oracle import SearchBudget, SubdivisionCertificate, as_budget, validate_certificate
 from .outcome import NotFound
 from .two_block import find_two_block
 
@@ -252,37 +255,11 @@ def _peel(n: int, tails, heads, k: int) -> np.ndarray:
 # gadget embeddings
 # ---------------------------------------------------------------------------
 
-def _bfs_exact_path(host, src: int, dst: int, max_len: int, budget: SearchBudget) -> Path | None:
-    """Shortest src-dst dipath of length at most max_len, or None."""
-    if src == dst:
-        return (src,)
-    parent = {src: None}
-    frontier = [src]
-    depth = 0
-    while frontier and depth < max_len:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            budget.charge(1, phase="embed-bfs")
-            for v in host.out_nbrs(u):
-                if v in parent:
-                    continue
-                parent[v] = u
-                if v == dst:
-                    seq = [v]
-                    while seq[-1] != src:
-                        seq.append(parent[seq[-1]])
-                    return tuple(reversed(seq))
-                nxt.append(v)
-        frontier = nxt
-    return None
-
-
 def _short_cycle_through(host, x: int, y: int, g: int, budget: SearchBudget) -> Path | None:
     """Directed cycle through the arc (x, y) of length at most 2g - 1,
     as a vertex tuple starting (x, y, ...).  With girth at least g the
     result has length exactly g when it exists at that length."""
-    back = _bfs_exact_path(host, y, x, 2 * g - 2, budget)
+    back = bfs_path(host, y, (x,), max_depth=2 * g - 2, budget=budget, phase="embed-bfs")
     if back is None:
         return None
     return (x,) + back[:-1]
@@ -297,7 +274,7 @@ def _common_in_neighbour(host, x: int, y: int) -> int | None:
 
 
 def embed_gadget_i_or_ii(host, p: int, q: int, b: int, g: int,
-                         budget: SearchBudget | None = None) -> Gadget:
+                         budget: SearchBudget | int | None = None) -> Gadget:
     """Cycle gadget or extended dominating gadget anchored at (p, q).
 
     Follows two nested common-in-neighbour walks.  Requires the host to
@@ -306,7 +283,7 @@ def embed_gadget_i_or_ii(host, p: int, q: int, b: int, g: int,
     reported via ``PropertyViolated`` so the caller can contract it.
     ``_Stuck`` signals a girth violation (walk vertices collided).
     """
-    budget = budget if isinstance(budget, SearchBudget) else SearchBudget(budget or 10**7)
+    budget = as_budget(budget)
     if not host.has_arc(p, q):
         raise BadParams(f"({p}, {q}) is not an arc")
     walk_len = 2 * b * b + b - 2
@@ -364,7 +341,8 @@ def embed_gadget_i_or_ii(host, p: int, q: int, b: int, g: int,
 def _girth_distance_hits(host, x: int, y: int, g: int, budget: SearchBudget) -> bool:
     """Is there a y-to-x dipath of length at most g - 1 (hence a cycle of
     length at most g through (x, y))?"""
-    return _bfs_exact_path(host, y, x, g - 1, budget) is not None
+    dist, _ = bfs_levels(host, y, g - 1, targets=(x,), budget=budget, phase="embed-bfs")
+    return x in dist
 
 
 def _close_walks_with_cycle(host, r_walk, w_walk, q, cyc, b, g) -> Gadget:
@@ -416,7 +394,7 @@ def _require_valid(host, gadget: Gadget, b: int, g: int) -> None:
 # ---------------------------------------------------------------------------
 
 def embed_gadget_iii(host, v: int, b: int, h: int, width: int,
-                     budget: SearchBudget | None = None) -> tuple[Path, Gadget]:
+                     budget: SearchBudget | int | None = None) -> tuple[Path, Gadget]:
     """Merge gadget grown from v, plus the clean dipath leading to it.
 
     Grows a (2b-1)-subdivided ``width``-ary out-arborescence from v.
@@ -426,7 +404,7 @@ def embed_gadget_iii(host, v: int, b: int, h: int, width: int,
     arm close into a merge gadget.  Degree or ball-size shortfalls
     surface as ``PreconditionUnverifiable`` with a witness.
     """
-    budget = budget if isinstance(budget, SearchBudget) else SearchBudget(budget or 10**7)
+    budget = as_budget(budget)
     arm_len = 2 * b - 1
     parent: dict[int, int] = {v: None}
     depth: dict[int, int] = {v: 0}
@@ -477,14 +455,6 @@ def _greedy_arms(host, u: int, tree: set[int], arm_len: int, width: int,
     return arms
 
 
-def _tree_path_up(parent: dict[int, int], frm: int, to: int) -> Path:
-    """Tree path from ancestor ``frm`` down to ``to``."""
-    seq = [to]
-    while seq[-1] != frm:
-        seq.append(parent[seq[-1]])
-    return tuple(reversed(seq))
-
-
 def _lca(parent, depth, x: int, y: int) -> int:
     while depth[x] > depth[y]:
         x = parent[x]
@@ -508,12 +478,12 @@ def _extract_merge_gadget(host, root, u, arms, parent, depth, tree, b, h, budget
             y = _lca(parent, depth, u, x)
             if min(depth[u], depth[x]) - depth[y] <= 2 * b - 2:
                 continue
-            p1 = _tree_path_up(parent, y, x)
-            down = _tree_path_up(parent, y, u)
+            p1 = path_to(parent, y, x)
+            down = path_to(parent, y, u)
             z = down[1]
             p2 = down[1:] + tuple(arm[1:]) + (x,)
             gadget = Gadget(kind=GadgetKind.TYPE_III, p=y, q=z, r=x, p1=p1, p2=p2)
-            p0 = _tree_path_up(parent, root, y)
+            p0 = path_to(parent, root, y)
             report = validate_gadget(host, gadget, b, 1)
             if not report:
                 continue
@@ -609,7 +579,7 @@ def find_cab(d: Digraph, a: int, b: int, budget: SearchBudget | int | None = Non
     if a < 2:
         raise DegeneratePattern("need at least two sources; route a=1 to the two-block finder")
     params = CabParams(a=a, b=b)
-    budget = budget if isinstance(budget, SearchBudget) else SearchBudget(budget or 10**6)
+    budget = as_budget(budget)
     pattern = pattern_cab(a, b)
 
     fast = _exact_cycle_certificate(d, pattern)
@@ -763,13 +733,6 @@ def _scan(work, view, chain: Chain, old_vs: set, tail_vs: set, i0: int,
     return None
 
 
-def _bfs_chain_path(parent, vm: int, u: int) -> Path:
-    seq = [u]
-    while seq[-1] != vm:
-        seq.append(parent[seq[-1]])
-    return tuple(reversed(seq))
-
-
 def _subchain_from(chain: Chain, start_idx: int) -> tuple[Path, dict[int, Gadget]]:
     spine = chain.spine[start_idx:]
     gadgets = {i - start_idx: gg for i, gg in chain.gadgets.items() if i >= start_idx}
@@ -789,7 +752,7 @@ def _close_via_arc(work, chain, parent, u, x, i0, params, log):
     idx = _gadget_index_of(chain, x, i0)
     if idx is None:
         return None
-    q_path = _bfs_chain_path(parent, chain.spine[-1], u)
+    q_path = path_to(parent, chain.spine[-1], u)
     spine, gadgets = _subchain_from(chain, idx)
     trial = Chain(spine=spine + q_path[1:], gadgets=gadgets)
     if len(set(trial.spine)) != len(trial.spine):
@@ -806,7 +769,7 @@ def _close_via_gadget(work, chain, parent, u, gadget, i0, params, log):
     """Condition-2 (dominating) or condition-1 (cycle) closure through a
     gadget that touches only the chain's old part."""
     vm = chain.spine[-1]
-    q_path = _bfs_chain_path(parent, vm, u)
+    q_path = path_to(parent, vm, u)
 
     if gadget.kind is GadgetKind.TYPE_II_EXTENDED:
         touched = gadget.vertices() & (chain.vertex_set() - {vm})
@@ -862,7 +825,7 @@ def _close_via_gadget(work, chain, parent, u, gadget, i0, params, log):
 def _extend_with_fresh_gadget(work, chain: Chain, parent, u, gadget: Gadget, params: CabParams):
     """Append the explored path and a fresh gadget to the chain."""
     vm = chain.spine[-1]
-    q_path = _bfs_chain_path(parent, vm, u)
+    q_path = path_to(parent, vm, u)
 
     if gadget.kind is GadgetKind.TYPE_II_EXTENDED:
         basic = _chain_form(gadget)
@@ -924,7 +887,9 @@ def find_oriented_cycle_subdivision(d: Digraph, orientation: Digraph,
     cycle ``C_{a,b}`` where a counts the sources and b is the longest
     block, with an optional girth-reduction preprocessing pass.  The
     certificate is always expressed against ``orientation`` itself.
+    Every finder it calls draws on the one allowance in ``budget``.
     """
+    budget = as_budget(budget)
     shape = digraph_cycle_shape(orientation)
     if shape is None:
         raise BadParams("pattern is not an orientation of a cycle")

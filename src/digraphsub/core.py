@@ -6,10 +6,13 @@ digons, i.e. both (u, v) and (v, u).  Vertices are dense integers
 "mutation" helper returns a new graph, so values can be shared freely
 across concurrent searches.
 
-The module also houses the canonical pattern generators used throughout
-the package (bioriented cliques/stars/paths, transitive tournaments,
-directed cycles, the two-block cycle ``C(k1, k2)`` and the alternating
-source/sink cycle ``C_{a,b}``), the edge-list text format and DOT export.
+The module also houses the package's one traversal layer (``bfs_levels``,
+``bfs_path``, ``path_to``, ``strong_components``), which walks any host
+with ``out_nbrs``, such as a :class:`Digraph` or an :class:`AdjView`; the
+canonical pattern generators used throughout the package (bioriented
+cliques/stars/paths, transitive tournaments, directed cycles, the
+two-block cycle ``C(k1, k2)`` and the alternating source/sink cycle
+``C_{a,b}``); the edge-list text format and DOT export.
 """
 
 from __future__ import annotations
@@ -148,6 +151,38 @@ def build_digraph(n: int, arcs: Iterable[Arc]) -> Digraph:
     return Digraph(n, tuple(tuple(sorted(r)) for r in rows))
 
 
+class AdjView:
+    """Read-only host over a ``{vertex: sorted out-tuple}`` dict.
+
+    Every out-neighbour must itself be a key; ids need not be
+    contiguous, and ``n`` is one past the largest, so validators that
+    range-check vertices accept them all.
+    """
+
+    __slots__ = ("adj", "n")
+
+    def __init__(self, adj: dict[int, tuple[int, ...]]):
+        self.adj = adj
+        self.n = max(adj, default=-1) + 1
+
+    @classmethod
+    def from_arcs(cls, arcs: Iterable[Arc]) -> "AdjView":
+        rows: dict[int, list[int]] = {}
+        for u, v in arcs:
+            rows.setdefault(u, []).append(v)
+            rows.setdefault(v, [])
+        return cls({u: tuple(sorted(row)) for u, row in rows.items()})
+
+    def vertices(self):
+        return self.adj.keys()
+
+    def out_nbrs(self, u: int) -> tuple[int, ...]:
+        return self.adj[u]
+
+    def has_arc(self, u: int, v: int) -> bool:
+        return v in self.adj.get(u, ())
+
+
 # ---------------------------------------------------------------------------
 # degree summaries
 # ---------------------------------------------------------------------------
@@ -180,33 +215,49 @@ def max_in_degree(d: Digraph) -> int:
 # reachability / girth / components
 # ---------------------------------------------------------------------------
 
-def bfs_levels(host, source: int, max_depth: float = INFINITE, avoid=()) -> tuple[dict[int, int], dict[int, int]]:
+def bfs_levels(host, source: int, max_depth: float = INFINITE, avoid=(), *, targets=(),
+               reverse: bool = False, budget=None, phase: str | None = None,
+               ) -> tuple[dict[int, int], dict[int, int]]:
     """Breadth-first distances and parents from ``source``.
 
-    ``host`` is anything with ``out_nbrs``.  Vertices in ``avoid`` are
-    never entered (the source itself is always entered).  Neighbours are
-    scanned in ascending id order, so parents are deterministic.
+    The package's one breadth-first loop.  ``host`` is anything with
+    ``out_nbrs``, or ``in_nbrs`` when ``reverse`` walks the arcs
+    backwards.  Vertices in ``avoid`` are never entered (the source
+    itself is always entered).  Neighbours are scanned in the host's
+    row order, ascending ids for every host here, so parents are
+    deterministic.  The walk stops as soon as it enters a vertex of
+    ``targets`` (a set or a short tuple; the source counts), which is
+    then the last key of the distances.  With a ``budget``, every
+    expanded vertex costs one ``budget.charge(1, phase=phase)``.
     """
-    blocked = set(avoid)
-    blocked.discard(source)
-    dist = {source: 0}
+    nbrs = host.in_nbrs if reverse else host.out_nbrs
+    blocked = frozenset(avoid)  # no copy when already frozen
+    dist = {source: 0}  # entered first, so never blocked
     parent: dict[int, int] = {}
+    if source in targets:
+        return dist, parent
     frontier = [source]
     depth = 0
     while frontier and depth < max_depth:
         depth += 1
         nxt = []
         for u in frontier:
-            for v in host.out_nbrs(u):
-                if v not in dist and v not in blocked:
-                    dist[v] = depth
-                    parent[v] = u
-                    nxt.append(v)
+            if budget is not None:
+                budget.charge(1, phase=phase)
+            for v in nbrs(u):
+                if v in dist or v in blocked:
+                    continue
+                dist[v] = depth
+                parent[v] = u
+                if v in targets:
+                    return dist, parent
+                nxt.append(v)
         frontier = nxt
     return dist, parent
 
 
-def bfs_path(host, source: int, targets, avoid=(), max_depth: float = INFINITE) -> Path | None:
+def bfs_path(host, source: int, targets, avoid=(), max_depth: float = INFINITE, *,
+             budget=None, phase: str | None = None) -> Path | None:
     """Shortest dipath from ``source`` to any vertex in ``targets``.
 
     The path meets ``targets`` only at its last vertex and avoids
@@ -214,32 +265,20 @@ def bfs_path(host, source: int, targets, avoid=(), max_depth: float = INFINITE) 
     which case the zero-length path is returned).  Ties break toward
     lower vertex ids.  ``None`` if unreachable.
     """
-    target_set = set(targets)
-    if source in target_set:
-        return (source,)
-    blocked = set(avoid)
-    blocked.discard(source)
-    dist = {source: 0}
-    parent: dict[int, int] = {}
-    frontier = [source]
-    depth = 0
-    while frontier and depth < max_depth:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            for v in host.out_nbrs(u):
-                if v in dist or v in blocked:
-                    continue
-                dist[v] = depth
-                parent[v] = u
-                if v in target_set:
-                    seq = [v]
-                    while seq[-1] != source:
-                        seq.append(parent[seq[-1]])
-                    return tuple(reversed(seq))
-                nxt.append(v)
-        frontier = nxt
-    return None
+    targets = frozenset(targets)
+    dist, parent = bfs_levels(host, source, max_depth, avoid, targets=targets,
+                              budget=budget, phase=phase)
+    last = next(reversed(dist))
+    return path_to(parent, source, last) if last in targets else None
+
+
+def path_to(parent: dict, src: int, dst: int) -> Path:
+    """The tree path from ``src`` down to ``dst``, read off parent links."""
+    seq = [dst]
+    while seq[-1] != src:
+        seq.append(parent[seq[-1]])
+    seq.reverse()
+    return tuple(seq)
 
 
 def directed_girth(d: Digraph):
@@ -264,43 +303,41 @@ def has_digon(d: Digraph) -> bool:
     return any(d.has_arc(v, u) for u, v in d.arcs())
 
 
-def strong_components(d: Digraph) -> list[list[int]]:
+def strong_components(host) -> list[list[int]]:
     """Strongly connected components in reverse topological order.
 
-    Iterative Tarjan with roots taken in ascending id order; each
-    component is listed with its vertices sorted, so the output is
-    deterministic.
+    ``host`` is anything with ``vertices`` and ``out_nbrs``; ids need
+    not be contiguous.  Iterative Tarjan with roots taken in ascending
+    id order; each component is listed with its vertices sorted, so the
+    output is deterministic.
     """
-    n = d.n
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
     stack: list[int] = []
     comps: list[list[int]] = []
-    counter = 0
 
-    for root in range(n):
-        if index[root] != -1:
+    for root in sorted(host.vertices()):
+        if root in index:
             continue
         work = [(root, 0)]
         while work:
             v, pi = work[-1]
             if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
+                index[v] = low[v] = len(index)
                 stack.append(v)
-                on_stack[v] = True
+                on_stack.add(v)
             advanced = False
-            row = d.out_nbrs(v)
+            row = host.out_nbrs(v)
             while pi < len(row):
                 w = row[pi]
                 pi += 1
-                if index[w] == -1:
+                if w not in index:
                     work[-1] = (v, pi)
                     work.append((w, 0))
                     advanced = True
                     break
-                if on_stack[w]:
+                if w in on_stack:
                     low[v] = min(low[v], index[w])
             if advanced:
                 continue
@@ -309,7 +346,7 @@ def strong_components(d: Digraph) -> list[list[int]]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack[w] = False
+                    on_stack.discard(w)
                     comp.append(w)
                     if w == v:
                         break
@@ -319,24 +356,6 @@ def strong_components(d: Digraph) -> list[list[int]]:
                 u, _ = work[-1]
                 low[u] = min(low[u], low[v])
     return comps
-
-
-def is_strongly_connected(d: Digraph) -> bool:
-    return d.n <= 1 or len(strong_components(d)) == 1
-
-
-def weakly_connected(d: Digraph) -> bool:
-    if d.n == 0:
-        return True
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        for v in d.out_nbrs(u) + d.in_nbrs(u):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == d.n
 
 
 def is_dipath(host, seq: Path) -> bool:
@@ -462,6 +481,8 @@ def read_edge_list(text: str) -> Digraph:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ParseError(f"non-integer header {rows[0]!r}") from exc
+    if n < 0:
+        raise ParseError(f"negative vertex count in header {rows[0]!r}")
     if len(rows) - 1 != m:
         raise ParseError(f"expected {m} arc lines, found {len(rows) - 1}")
     arcs = []

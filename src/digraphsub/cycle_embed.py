@@ -78,8 +78,8 @@ def cycle_shape(arcs) -> CycleShape | None:
     nxt = incident[0]
     dirs.append(nxt in out[start])
     seq.append(nxt)
-    while seq[-1] != start:
-        cur, prev = seq[-1], seq[-2]
+    while (cur := seq[-1]) != start:
+        prev = seq[-2]
         nbrs = [(w, True) for w in out[cur]] + [(w, False) for w in inc[cur]]
         step = [(w, f) for w, f in nbrs if w != prev]
         if len(step) != 1:

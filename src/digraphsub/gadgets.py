@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import Path, pattern_cab
+from .core import AdjView, Path, bfs_path, pattern_cab
 from .cycle_embed import certificate_from_cycle
 from .errors import (
     BadParams,
@@ -445,31 +445,10 @@ def reach_pq(gadget: Gadget, x: int) -> Path:
         raise WrongKind("merge gadgets do not reach back to (p, q)")
     if x not in gadget.vertices():
         raise BadTarget(f"{x} is not a gadget vertex")
-    targets = {gadget.p, gadget.q}
-    if x in targets:
-        return (x,)
-    adj: dict[int, list[int]] = {}
-    for u, v in gadget.arcs():
-        adj.setdefault(u, []).append(v)
-    for u in adj:
-        adj[u].sort()
-    parent = {x: None}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj.get(u, ()):
-                if v in parent:
-                    continue
-                parent[v] = u
-                if v in targets:
-                    seq = [v]
-                    while seq[-1] != x:
-                        seq.append(parent[seq[-1]])
-                    return tuple(reversed(seq))
-                nxt.append(v)
-        frontier = nxt
-    raise BadTarget(f"{x} cannot reach the designated pair inside the gadget")
+    walk = bfs_path(AdjView.from_arcs(gadget.arcs()), x, (gadget.p, gadget.q))
+    if walk is None:
+        raise BadTarget(f"{x} cannot reach the designated pair inside the gadget")
+    return walk
 
 
 def extended_exit_path(gadget: Gadget, targets, b: int) -> AlternatingPath:
@@ -613,22 +592,10 @@ def join_alt_paths(r1: AlternatingPath, r2: AlternatingPath, b: int) -> Subdivis
     for path in (r1, r2):
         for piece in path.q_paths + path.qp_paths:
             arcs.update(zip(piece, piece[1:]))
-    host = _ArcSetHost(arcs)
-    cert = certificate_from_cycle(arcs, pattern_cab(a, b), host)
+    cert = certificate_from_cycle(arcs, pattern_cab(a, b), AdjView.from_arcs(arcs))
     if cert is None:
         raise OverlapViolation("joined paths do not span the expected cycle")
     return cert
-
-
-class _ArcSetHost:
-    """Minimal host view over a bare arc set, for certificate validation."""
-
-    def __init__(self, arcs):
-        self._arcs = set(arcs)
-        self.n = max((max(u, v) for u, v in arcs), default=-1) + 1
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self._arcs
 
 
 # ---------------------------------------------------------------------------

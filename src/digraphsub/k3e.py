@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Digraph, Path, build_digraph, k3_minus_e
+from .core import AdjView, Digraph, Path, bfs_levels, bfs_path, build_digraph, k3_minus_e, strong_components
 from .errors import DepthBudgetExceeded, PreconditionViolated
 from .menger import fan_to_set
 from .oracle import SubdivisionCertificate, validate_certificate
@@ -90,66 +90,6 @@ def _trim(adj: Adj, v0: int) -> Adj:
     return out
 
 
-def _sccs(adj: Adj) -> list[list[int]]:
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in sorted(adj):
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            row = adj[v]
-            while pi < len(row):
-                w = row[pi]
-                pi += 1
-                if w not in index:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comps
-
-
-def _reachable(adj: Adj, src: int, banned: set[int]) -> set[int]:
-    seen = {src}
-    frontier = [src]
-    while frontier:
-        u = frontier.pop()
-        for w in adj.get(u, ()):
-            if w not in seen and w not in banned:
-                seen.add(w)
-                frontier.append(w)
-    return seen
-
-
 def _as_digraph(adj: Adj) -> tuple[Digraph, list[int]]:
     ids = sorted(adj)
     pos = {v: i for i, v in enumerate(ids)}
@@ -164,8 +104,9 @@ def _solve(adj: Adj, v0: int, depth: int, trace: list | None = None) -> Subdivis
     if depth <= 0:
         raise DepthBudgetExceeded("reduction chain exceeded its bound")
     adj = _trim(adj, v0)
+    host = AdjView(adj)
 
-    comps = _sccs(adj)
+    comps = strong_components(host)
     if len(comps) > 1:
         term = _terminal_component(adj, comps)
         sub = {v: tuple(w for w in adj[v] if w in term) for v in term}
@@ -179,7 +120,7 @@ def _solve(adj: Adj, v0: int, depth: int, trace: list | None = None) -> Subdivis
 
     if common:
         z0 = common[0]
-        return _case_fan(adj, v0, v1, z0, depth, trace)
+        return _case_fan(host, v0, v1, z0, depth, trace)
 
     # contract: v0 and v1 share no in-neighbour, so merging v0 into v1
     # keeps every out-degree intact
@@ -218,7 +159,8 @@ def _terminal_component(adj: Adj, comps: list[list[int]]) -> set[int]:
     raise AssertionError("no terminal strong component")
 
 
-def _case_fan(adj: Adj, v0: int, v1: int, z0: int, depth: int, trace: list | None = None) -> SubdivisionCertificate:
+def _case_fan(host: AdjView, v0: int, v1: int, z0: int, depth: int, trace: list | None = None) -> SubdivisionCertificate:
+    adj = host.adj
     d_sub, ids = _as_digraph(adj)
     pos = {v: i for i, v in enumerate(ids)}
     res = fan_to_set(d_sub, pos[v1], {pos[v0], pos[z0]}, 2)
@@ -242,10 +184,11 @@ def _case_fan(adj: Adj, v0: int, v1: int, z0: int, depth: int, trace: list | Non
     cut = {ids[i] for i in res.cut}
     assert len(cut) == 1, "a strong graph cannot have an empty fan cut"
     (s0,) = cut
-    w_side = _reachable(adj, v1, {s0})
+    w_side = set(bfs_levels(host, v1, avoid={s0})[0])
     assert v0 not in w_side and z0 not in w_side
 
-    bridge = _bridge_path(adj, s0, w_side)
+    bridge = bfs_path(host, s0, w_side)
+    assert bridge is not None, "strong graph must reach the kept side"
     w = bridge[-1]
     child: Adj = {
         v: tuple(sorted(set(x for x in adj[v] if x in w_side or x == s0)))
@@ -256,27 +199,6 @@ def _case_fan(adj: Adj, v0: int, v1: int, z0: int, depth: int, trace: list | Non
     _note(trace, {"step": "partition", "s0": s0, "kept": len(w_side), "bridge": list(bridge)})
     cert = _solve(child, s0, depth - 1, trace)
     return _lift_partition(cert, step)
-
-
-def _bridge_path(adj: Adj, s0: int, w_side: set[int]) -> Path:
-    """Shortest dipath from the separator into the kept side."""
-    parent: dict[int, int] = {s0: None}
-    frontier = [s0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v in parent:
-                    continue
-                parent[v] = u
-                if v in w_side:
-                    seq = [v]
-                    while seq[-1] != s0:
-                        seq.append(parent[seq[-1]])
-                    return tuple(reversed(seq))
-                nxt.append(v)
-        frontier = nxt
-    raise AssertionError("strong graph must reach the kept side")
 
 
 # ---------------------------------------------------------------------------

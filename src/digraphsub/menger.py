@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from .core import Digraph, Path, bfs_levels
 from .errors import ArcPresent, EmptyGraph, SameVertex, VertexInSet
 
-PARANOID = True
-
 
 @dataclass(frozen=True)
 class PathsOrCut:
@@ -157,8 +155,7 @@ def _decompose_paths(net: _UnitFlow, s, t, k: int) -> list[list]:
     paths = []
     for _ in range(k):
         seq = [s]
-        while seq[-1] != t:
-            u = seq[-1]
+        while (u := seq[-1]) != t:
             step = None
             for v in sorted(net.adj.get(u, ()), key=_node_key):
                 if remaining.get((u, v), 0) > 0:
@@ -203,8 +200,7 @@ def vertex_disjoint_paths(d: Digraph, u: int, v: int, k: int) -> PathsOrCut:
     if sent >= k:
         raw = _decompose_paths(net, ("out", u), ("in", v), k)
         paths = tuple(_collapse(seq) for seq in raw)
-        if PARANOID:
-            _assert_internally_disjoint(d, paths, u, v)
+        _assert_internally_disjoint(d, paths, u, v)
         return PathsOrCut(paths=paths, cut=None)
 
     reach = net.residual_reachable(("out", u))
@@ -212,8 +208,7 @@ def vertex_disjoint_paths(d: Digraph, u: int, v: int, k: int) -> PathsOrCut:
         w for w in d.vertices() if ("in", w) in reach and ("out", w) not in reach
     )
     assert len(cut) == sent < k
-    if PARANOID:
-        _assert_cut_separates(d, cut, u, v)
+    _assert_cut_separates(d, cut, u, v)
     return PathsOrCut(paths=None, cut=cut)
 
 
@@ -248,8 +243,7 @@ def fan_to_set(d: Digraph, v: int, targets, k: int) -> FanOrCut:
             stop = next(i for i, w in enumerate(path) if w in a)
             fan.append(path[: stop + 1])
         fan_t = tuple(fan)
-        if PARANOID:
-            _assert_fan(d, fan_t, v, a)
+        _assert_fan(d, fan_t, v, a)
         return FanOrCut(fan=fan_t, cut=None)
 
     reach = net.residual_reachable(("out", v))
@@ -257,8 +251,7 @@ def fan_to_set(d: Digraph, v: int, targets, k: int) -> FanOrCut:
         w for w in d.vertices() if ("in", w) in reach and ("out", w) not in reach
     )
     assert len(cut) == sent < k and v not in cut
-    if PARANOID:
-        _assert_fan_cut(d, cut, v, a)
+    _assert_fan_cut(d, cut, v, a)
     return FanOrCut(fan=None, cut=cut)
 
 

@@ -17,7 +17,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 
-from .core import Digraph, Path
+from .core import Digraph, Path, bfs_levels
 from .errors import BudgetExceeded, ParseError
 from . import menger as _menger
 
@@ -81,7 +81,7 @@ class SubdivisionCertificate:
                 (int(e["from"]), int(e["to"])): tuple(int(v) for v in e["vertices"])
                 for e in payload["paths"]
             }
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise ParseError(f"bad certificate JSON: {exc}") from exc
         return cls(branch=branch, paths=paths)
 
@@ -224,7 +224,7 @@ def contains_subdivision(
     needs a host image on k mutually disjoint host cycles), and a
     reachability lookahead prunes doomed partial embeddings.
     """
-    budget = _as_budget(budget)
+    budget = as_budget(budget)
     if pattern.n == 0:
         return SubdivisionCertificate()
     if host.n < pattern.n:
@@ -272,7 +272,8 @@ def contains_subdivision(
             x, y = p_arcs[j]
             s, t = assignment[x], assignment[y]
             budget.charge(1, phase="lookahead")
-            if not _reaches(host, s, t, occupied - {s, t}):
+            dist, _ = bfs_levels(host, s, avoid=occupied - {s, t}, targets=(t,))
+            if t not in dist:
                 return False
         return True
 
@@ -297,24 +298,6 @@ def contains_subdivision(
     return assign(0)
 
 
-def _reaches(host: Digraph, s: int, t: int, blocked: frozenset) -> bool:
-    if s == t:
-        return False
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in host.out_nbrs(u):
-                if v == t:
-                    return True
-                if v not in seen and v not in blocked:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return False
-
-
 def _simple_paths_shortest_first(host: Digraph, s: int, t: int, blocked: frozenset, budget: SearchBudget):
     """Yield simple s-t dipaths avoiding ``blocked``, shortest lengths first.
 
@@ -324,7 +307,7 @@ def _simple_paths_shortest_first(host: Digraph, s: int, t: int, blocked: frozens
     """
     if s == t:
         return
-    rev_dist = _distances_to(host, t, blocked)
+    rev_dist, _ = bfs_levels(host, t, avoid=blocked, reverse=True)
     if s not in rev_dist:
         return
     max_len = host.n - len(blocked) - 1
@@ -352,22 +335,10 @@ def _simple_paths_shortest_first(host: Digraph, s: int, t: int, blocked: frozens
         yield from dfs(s, length)
 
 
-def _distances_to(host: Digraph, t: int, blocked) -> dict[int, int]:
-    """BFS distances toward t along reversed arcs, skipping blocked vertices."""
-    dist = {t: 0}
-    frontier = [t]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in host.in_nbrs(u):
-                if w not in dist and w not in blocked:
-                    dist[w] = dist[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
-def _as_budget(budget) -> SearchBudget:
+def as_budget(budget: SearchBudget | int | None) -> SearchBudget:
+    """The one coercion of a ``budget=`` argument: ``None`` gets
+    ``DEFAULT_BUDGET`` nodes, an int that many (0 means none at all),
+    and a ``SearchBudget`` is shared as is."""
     if budget is None:
         return SearchBudget()
     if isinstance(budget, int):
@@ -386,7 +357,7 @@ def has_even_dicycle(d: Digraph, budget: SearchBudget | int | None = None) -> bo
     enumerated exhaustively (each rooted at its minimum vertex) under
     the node budget.
     """
-    budget = _as_budget(budget)
+    budget = as_budget(budget)
     for u, v in d.arcs():
         if d.has_arc(v, u):
             return True

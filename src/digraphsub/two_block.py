@@ -13,10 +13,10 @@ farthest targets yield the long route and the short route at once.
 
 from __future__ import annotations
 
-from .core import Digraph, Path, greedy_maximal_path, pattern_two_block
+from .core import Digraph, Path, bfs_levels, bfs_path, greedy_maximal_path, path_to, pattern_two_block
 from .cycle_embed import lay_path
 from .errors import BadParams, StuckGreedy
-from .oracle import SearchBudget, SubdivisionCertificate, validate_certificate
+from .oracle import SearchBudget, SubdivisionCertificate, as_budget, validate_certificate
 from .outcome import NotFound
 
 
@@ -95,43 +95,6 @@ class _GoodPathState:
         return self.p0[-1]
 
 
-def _reach(d: Digraph, src: int, avoid, budget: SearchBudget) -> tuple[set[int], dict[int, int]]:
-    blocked = set(avoid)
-    blocked.discard(src)
-    seen = {src}
-    parent: dict[int, int] = {}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            budget.charge(1, phase="reach")
-            for w in d.out_nbrs(u):
-                if w not in seen and w not in blocked:
-                    seen.add(w)
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
-    return seen, parent
-
-
-def _tree_path(parent: dict[int, int], src: int, dst: int) -> Path:
-    seq = [dst]
-    while seq[-1] != src:
-        seq.append(parent[seq[-1]])
-    return tuple(reversed(seq))
-
-
-def _arc_into(d: Digraph, region: set[int], targets: set[int]) -> tuple[int, int] | None:
-    """Lowest (u, v) arc from ``region`` into ``targets``."""
-    best = None
-    for u in sorted(region):
-        for v in d.out_nbrs(u):
-            if v in targets:
-                best = (u, v)
-                return best
-    return best
-
-
 def find_two_block(d: Digraph, k1: int, k2: int, budget: SearchBudget | int | None = None,
                    log: list | None = None) -> SubdivisionCertificate | NotFound:
     """Certificate for a subdivision of ``C(k1, k2)``, or an honest miss.
@@ -146,7 +109,7 @@ def find_two_block(d: Digraph, k1: int, k2: int, budget: SearchBudget | int | No
         raise BadParams(f"need k1 >= k2 >= 1, got ({k1}, {k2})")
     if k1 == 1 and k2 == 1:
         raise BadParams("C(1, 1) is not a simple pattern")
-    budget = budget if isinstance(budget, SearchBudget) else SearchBudget(budget or 10**7)
+    budget = as_budget(budget)
     if k2 == 1:
         return _find_short_block(d, k1)
 
@@ -198,7 +161,7 @@ def _round(d: Digraph, state: _GoodPathState, k1: int, k2: int, budget: SearchBu
     for mine in (p1, p2):
         tip = mine[-1]
         avoid = all_paths - {tip}
-        region, parent = _reach(d, tip, avoid, budget)
+        region, parent = bfs_levels(d, tip, avoid=avoid, budget=budget, phase="reach")
         found = _attachments(d, region, spine_targets, p0)
         if found:
             sides[tip] = (region, parent, found)
@@ -219,13 +182,13 @@ def _round(d: Digraph, state: _GoodPathState, k1: int, k2: int, budget: SearchBu
     return _endgame(d, state, k1, k2, budget, parent_a, found_a)
 
 
-def _attachments(d: Digraph, region: set[int], spine_targets: set[int], p0: Path) -> dict[int, int]:
-    """Map path-position -> region vertex whose arc lands there."""
+def _attachments(d: Digraph, region: dict[int, int], spine_targets: set[int], p0: Path) -> dict[int, int]:
+    """Map path-position -> lowest region vertex whose arc lands there."""
     pos = {v: i for i, v in enumerate(p0)}
     found: dict[int, int] = {}
-    for u in sorted(region):
+    for u in region:
         for w in d.out_nbrs(u):
-            if w in spine_targets and pos[w] not in found:
+            if w in spine_targets and u < found.get(pos[w], u + 1):
                 found[pos[w]] = u
     return found
 
@@ -239,7 +202,7 @@ def _endgame(d, state, k1, k2, budget, parent_a, found_a):
     # long route: first fork out to its farthest attachment point
     ia = min(found_a)
     a_star = p0[ia]
-    p_astar = _tree_path(parent_a, a, found_a[ia]) + (a_star,)
+    p_astar = path_to(parent_a, a, found_a[ia]) + (a_star,)
     q = p1 + p_astar[1:]
     r = min(len(q) - 1, k1)
     qp = q[: r + 1]
@@ -247,23 +210,25 @@ def _endgame(d, state, k1, k2, budget, parent_a, found_a):
 
     # where can the second fork land, avoiding the chosen route?
     avoid_b = (p0_set | set(q) | p2_set) - {b}
-    region_b, parent_b = _reach(d, b, avoid_b, budget)
+    region_b, parent_b = bfs_levels(d, b, avoid=avoid_b, budget=budget, phase="reach")
     bstars = _attachments(d, region_b, p0_set - {x}, p0)
 
     if len(bstars) >= k1 - r + 1:
         ib = max(bstars)
         assert ib - ia >= k1 - r, "attachment spread below the pigeonhole bound"
-        p_bstar = _tree_path(parent_b, b, bstars[ib]) + (p0[ib],)
+        p_bstar = path_to(parent_b, b, bstars[ib]) + (p0[ib],)
         route1 = q + p0[ia + 1 : ib + 1]
         route2 = p2 + p_bstar[1:]
         return _certificate(route1, route2, k1, k2, d)
 
     if r == k1:
-        hit, parent_star = _route_back(d, b, q, r, (p0_set | set(qp) | p2_set) - {b, y}, budget)
-        if hit is not None:
-            q_pos = {v: i for i, v in enumerate(q)}
-            route1 = q[: q_pos[hit] + 1]
-            route2 = p2 + _tree_path(parent_star, b, hit)[1:]
+        # shortest dipath from b back to q at position >= r; q[:r] lies in
+        # the avoided set already
+        back = bfs_path(d, b, q[r:], (p0_set | set(qp) | p2_set) - {b, y},
+                        budget=budget, phase="route-back")
+        if back is not None:
+            route1 = q[: q.index(back[-1]) + 1]
+            route2 = p2 + back[1:]
             return _certificate(route1, route2, k1, k2, d)
 
     # no endgame: the good path must grow through the second fork
@@ -275,31 +240,6 @@ def _endgame(d, state, k1, k2, budget, parent_a, found_a):
         "endgame-stuck",
         {"phase": "claim2", "b_star_count": len(bstars), "needed": k1 - r + 1, "r": r},
     )
-
-
-def _route_back(d: Digraph, b: int, q: Path, r: int, avoid, budget: SearchBudget):
-    """Shortest dipath from b to a vertex of q at position >= r, internally
-    clear of ``avoid`` and of q itself."""
-    q_pos = {v: i for i, v in enumerate(q)}
-    seen = {b}
-    parent: dict[int, int] = {}
-    frontier = [b]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            budget.charge(1, phase="route-back")
-            for w in d.out_nbrs(u):
-                if w in seen or w in avoid:
-                    continue
-                seen.add(w)
-                parent[w] = u
-                if w in q_pos:
-                    if q_pos[w] >= r:
-                        return w, parent
-                    continue
-                nxt.append(w)
-        frontier = nxt
-    return None, parent
 
 
 def _improve(d: Digraph, state: _GoodPathState, mine: Path, k2: int,

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from digraphsub import cab
 from digraphsub.cab import (
     embed_gadget_i_or_ii,
     embed_gadget_iii,
@@ -27,7 +28,7 @@ from digraphsub.errors import (
     RetriesExhausted,
 )
 from digraphsub.gadgets import GadgetKind, validate_gadget
-from digraphsub.oracle import validate_certificate
+from digraphsub.oracle import SearchBudget, validate_certificate
 from digraphsub.outcome import NotFound
 from digraphsub.synthetic import wired_cycle_host
 
@@ -219,6 +220,12 @@ class TestFindCabSoundness:
                 outcomes["cert"] += 1
         assert sum(outcomes.values()) == 150
 
+    def test_zero_budget_means_zero(self):
+        # not an oriented cycle, so the first charge comes from the growth loop
+        with pytest.raises(BudgetExceeded) as exc:
+            find_cab(bioriented_clique(5), 2, 1, budget=0)
+        assert exc.value.details["phase"] == "embed-bfs"
+
     def test_notfound_carries_stuck_state(self):
         d = directed_cycle(8)
         out = find_cab(d, 2, 1, budget=5000)
@@ -391,6 +398,21 @@ class TestDispatchLadder:
         out = find_oriented_cycle_subdivision(d, pattern, budget=20000, seed=3)
         assert isinstance(out, NotFound)
         assert out.reason
+
+    def test_one_allowance_for_both_cab_attempts(self, monkeypatch):
+        seen = []
+
+        def fake_find_cab(d, a, b, budget=None, log=None):
+            seen.append(budget)
+            return NotFound("stub", {})
+
+        monkeypatch.setattr(cab, "find_cab", fake_find_cab)
+        monkeypatch.setattr(cab, "reduce_girth", lambda d, k, g, seed=None: (d, list(range(d.n))))
+        out = find_oriented_cycle_subdivision(bioriented_clique(5), pattern_cab(2, 1), budget=1000)
+        assert isinstance(out, NotFound)
+        assert len(seen) == 2
+        assert isinstance(seen[0], SearchBudget) and seen[0].max_nodes == 1000
+        assert seen[0] is seen[1]
 
     def test_no_arcs(self):
         from digraphsub.core import build_digraph

@@ -93,6 +93,12 @@ class TestCheck:
         cert.write_text(json.dumps(payload))
         assert main(["check", "--pattern", "k3e", "--in", bivec_k3_file, "--cert", str(cert)]) == 1
 
+    def test_list_shaped_certificate_exit_3(self, bivec_k3_file, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        cert.write_text('{"branch": [], "paths": []}')
+        assert main(["check", "--pattern", "k3e", "--in", bivec_k3_file, "--cert", str(cert)]) == 3
+        assert "bad certificate JSON" in capsys.readouterr().err
+
     def test_wrong_pattern(self, bivec_k3_file, tmp_path, capsys):
         cert = tmp_path / "cert.json"
         main(["find", "--pattern", "k3e", "--in", bivec_k3_file, "--out", str(cert)])

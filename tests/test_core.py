@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from digraphsub import core
 from digraphsub.core import (
     Digraph,
+    bfs_levels,
+    bfs_path,
     bioriented_clique,
     bioriented_path,
     bioriented_star,
@@ -18,6 +20,7 @@ from digraphsub.core import (
     has_digon,
     k3_minus_e,
     min_out_degree,
+    path_to,
     pattern_cab,
     pattern_two_block,
     read_edge_list,
@@ -27,12 +30,14 @@ from digraphsub.core import (
     write_edge_list,
 )
 from digraphsub.errors import (
+    BudgetExceeded,
     DegeneratePattern,
     EmptyGraph,
     LoopArc,
     ParseError,
     VertexOutOfRange,
 )
+from digraphsub.oracle import SearchBudget
 
 
 def digraphs(max_n=7):
@@ -119,6 +124,60 @@ class TestStrongComponents:
     @pytest.mark.parametrize("length", [2, 3, 5, 9])
     def test_cycle_always_one_class(self, length):
         assert len(strong_components(directed_cycle(length))) == 1
+
+
+class TestTraversalKernel:
+    def test_budget_charges_once_per_expanded_vertex(self):
+        d = directed_path(6)
+        for k in range(5):
+            with pytest.raises(BudgetExceeded) as exc:
+                bfs_levels(d, 0, budget=SearchBudget(k), phase="probe")
+            assert exc.value.details == {"consumed": k + 1, "phase": "probe"}
+        budget = SearchBudget(7)
+        dist, _ = bfs_levels(d, 0, budget=budget, phase="probe")
+        assert len(dist) == 7 and budget.consumed == 7
+
+    def test_bfs_path_budget(self):
+        d = directed_path(6)
+        with pytest.raises(BudgetExceeded) as exc:
+            bfs_path(d, 0, {6}, budget=SearchBudget(3), phase="probe")
+        assert exc.value.details["phase"] == "probe"
+        budget = SearchBudget(6)
+        assert bfs_path(d, 0, {6}, budget=budget, phase="probe") == tuple(range(7))
+        assert budget.consumed == 6
+
+    @given(digraphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reverse_walks_the_transpose(self, d, data):
+        source = data.draw(st.integers(0, d.n - 1))
+        avoid = data.draw(st.sets(st.integers(0, d.n - 1)))
+        assert bfs_levels(d, source, avoid=avoid, reverse=True) == bfs_levels(
+            d.transpose(), source, avoid=avoid
+        )
+
+    @given(digraphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_path_to_rebuilds_bfs_path(self, d, data):
+        source = data.draw(st.integers(0, d.n - 1))
+        targets = data.draw(st.sets(st.integers(0, d.n - 1), min_size=1))
+        path = bfs_path(d, source, targets)
+        dist, parent = bfs_levels(d, source, targets=targets)
+        if path is None:
+            assert not targets & set(dist)
+        else:
+            assert path == path_to(parent, source, path[-1])
+            assert len(path) - 1 == dist[path[-1]]
+            assert core.is_dipath(d, path) and not targets & set(path[:-1])
+
+    def test_targets_stop_at_first_entered(self):
+        # 0 reaches 2 and 3 at depth 1 and 4 at depth 2
+        d = build_digraph(5, [(0, 3), (0, 2), (2, 4), (3, 1)])
+        dist, _ = bfs_levels(d, 0, targets={3, 2, 4})
+        assert list(dist) == [0, 2]
+        assert bfs_path(d, 0, {3, 2}) == (0, 2)
+        assert bfs_path(d, 0, {4, 1}) == (0, 2, 4)
+        assert bfs_path(d, 0, {0, 1}) == (0,)
+        assert bfs_path(d, 0, {1}, avoid={3}) is None
 
 
 class TestGenerators:
@@ -217,6 +276,10 @@ class TestIO:
     def test_wrong_arc_count(self):
         with pytest.raises(ParseError):
             read_edge_list("2 2\n0 1\n")
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(ParseError):
+            read_edge_list("-1 0")
 
     def test_dot_export(self):
         text = to_dot(build_digraph(2, [(0, 1)]))

@@ -1,0 +1,63 @@
+"""Differential checks of the traversal layer against networkx.
+
+networkx is an optional test dependency; without it this module skips.
+"""
+
+import random
+
+import pytest
+
+from digraphsub.core import AdjView, INFINITE, bfs_levels, directed_girth, strong_components
+
+from .conftest import rand_digraph
+
+nx = pytest.importorskip("networkx")
+
+
+def _nx_graph(d, ids=None):
+    ids = ids or list(range(d.n))
+    g = nx.DiGraph()
+    g.add_nodes_from(ids)
+    g.add_edges_from((ids[u], ids[v]) for u, v in d.arcs())
+    return g
+
+
+def _hosts(seed, count, n_max):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, rand_digraph(rng, rng.randrange(1, n_max + 1), rng.uniform(0.05, 0.5))
+
+
+def _as_sets(comps):
+    return sorted(sorted(c) for c in comps)
+
+
+def test_strong_components_on_digraph():
+    for _, d in _hosts(1, 200, 12):
+        assert _as_sets(strong_components(d)) == _as_sets(nx.strongly_connected_components(_nx_graph(d)))
+
+
+def test_strong_components_on_view_with_sparse_ids():
+    for rng, d in _hosts(2, 200, 12):
+        ids = sorted(rng.sample(range(100), d.n))
+        adj = {ids[v]: tuple(ids[w] for w in d.out_nbrs(v)) for v in reversed(range(d.n))}
+        ours = strong_components(AdjView(adj))
+        assert _as_sets(ours) == _as_sets(nx.strongly_connected_components(_nx_graph(d, ids)))
+        assert all(c == sorted(c) for c in ours)
+
+
+def test_bfs_distances_avoiding_a_set():
+    for rng, d in _hosts(3, 300, 12):
+        source = rng.randrange(d.n)
+        avoid = {v for v in range(d.n) if v != source and rng.random() < 0.25}
+        g = _nx_graph(d)
+        g.remove_nodes_from(avoid)
+        dist, parent = bfs_levels(d, source, avoid=avoid)
+        assert dist == nx.single_source_shortest_path_length(g, source)
+        assert all(dist[parent[v]] + 1 == dist[v] and d.has_arc(parent[v], v) for v in parent)
+
+
+def test_directed_girth_against_simple_cycles():
+    for _, d in _hosts(4, 200, 8):
+        lengths = [len(c) for c in nx.simple_cycles(_nx_graph(d))]
+        assert directed_girth(d) == (min(lengths) if lengths else INFINITE)

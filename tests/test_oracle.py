@@ -146,6 +146,10 @@ class TestCertificateJSON:
         with pytest.raises(ParseError):
             SubdivisionCertificate.from_json("{}")
 
+    def test_list_shaped_branch(self):
+        with pytest.raises(ParseError):
+            SubdivisionCertificate.from_json('{"branch": [], "paths": []}')
+
 
 class TestEvenDicycle:
     def test_digon(self):

@@ -10,7 +10,7 @@ from digraphsub.core import (
     min_out_degree,
     pattern_two_block,
 )
-from digraphsub.errors import BadParams, StuckGreedy
+from digraphsub.errors import BadParams, BudgetExceeded, StuckGreedy
 from digraphsub.oracle import contains_subdivision, validate_certificate
 from digraphsub.outcome import NotFound
 from digraphsub.two_block import find_two_block, fork
@@ -61,6 +61,11 @@ class TestFindTwoBlockThreshold:
         out = find_two_block(d, k, 2)
         assert isinstance(out, NotFound)
         assert contains_subdivision(d, pattern_two_block(k, 2)) is None
+
+    def test_zero_budget_means_zero(self):
+        with pytest.raises(BudgetExceeded) as exc:
+            find_two_block(bioriented_clique(6), 2, 2, budget=0)
+        assert exc.value.details["consumed"] == 1
 
     def test_bad_params(self):
         with pytest.raises(BadParams):
