@@ -19,7 +19,6 @@ against the pattern before being returned.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,77 +77,21 @@ class _Stuck(DigraphError):
 
 
 # ---------------------------------------------------------------------------
-# mutable working graph with stable vertex ids
+# vertex-deleted view
 # ---------------------------------------------------------------------------
 
-class _Work:
-    """Adjacency dict that survives arc trims and vertex contractions."""
-
-    __slots__ = ("out", "inn")
-
-    def __init__(self, d: Digraph):
-        self.out = {v: list(d.out_nbrs(v)) for v in d.vertices()}
-        self.inn = {v: list(d.in_nbrs(v)) for v in d.vertices()}
-
-    def vertices(self):
-        return self.out.keys()
-
-    def out_nbrs(self, v):
-        return self.out[v]
-
-    def in_nbrs(self, v):
-        return self.inn[v]
-
-    def has_arc(self, u, v) -> bool:
-        row = self.out.get(u)
-        if row is None:
-            return False
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
-
-    def remove_arc(self, u, v):
-        self.out[u].remove(v)
-        self.inn[v].remove(u)
-
-    def add_arc(self, u, v):
-        if not self.has_arc(u, v):
-            insort(self.out[u], v)
-            insort(self.inn[v], u)
-
-    def remove_vertex(self, x):
-        for w in list(self.out[x]):
-            self.inn[w].remove(x)
-        for w in list(self.inn[x]):
-            self.out[w].remove(x)
-        del self.out[x]
-        del self.inn[x]
-
-    @property
-    def n(self):
-        return len(self.out)
-
-    @property
-    def m(self):
-        return sum(len(r) for r in self.out.values())
-
-
 class _View:
-    """Read-only vertex-deleted view of a working graph."""
+    """Read-only vertex-deleted view of the working graph, offering what
+    ``embed_gadget_iii`` reads: ``out_nbrs`` and ``has_arc``."""
 
     __slots__ = ("base", "blocked")
 
-    def __init__(self, base, blocked: set[int]):
+    def __init__(self, base: Digraph, blocked: set[int]):
         self.base = base
         self.blocked = blocked
 
-    def vertices(self):
-        return (v for v in self.base.vertices() if v not in self.blocked)
-
     def out_nbrs(self, v):
         return [w for w in self.base.out_nbrs(v) if w not in self.blocked]
-
-    def in_nbrs(self, v):
-        return [w for w in self.base.in_nbrs(v) if w not in self.blocked]
 
     def has_arc(self, u, v):
         return u not in self.blocked and v not in self.blocked and self.base.has_arc(u, v)
@@ -183,8 +126,8 @@ def long_dicycle(d: Digraph) -> Path:
 _GIRTH_CHECK_WORK = 2 * 10**7
 
 
-def reduce_girth(d: Digraph, k: int, g: int, seed=None, max_retries: int = 64,
-                 verify: str = "auto") -> tuple[Digraph, list[int]]:
+def reduce_girth(d: Digraph, k: int, g: int, seed=None,
+                 max_retries: int = 64) -> tuple[Digraph, list[int]]:
     """Subgraph with out-degrees at least k and directed girth at least g.
 
     Each retry assigns every vertex a uniform level in 0..g-1, keeps
@@ -192,7 +135,7 @@ def reduce_girth(d: Digraph, k: int, g: int, seed=None, max_retries: int = 64,
     length divisible by g, then peels vertices of out-degree below k.
     Postconditions are re-verified on every success: out-degrees and the
     level invariant always, the girth by direct computation when the
-    instance is small or ``verify="full"``.
+    instance is small (``n * m`` at most ``_GIRTH_CHECK_WORK``).
 
     Returns the subgraph together with the list of original vertex ids;
     vertex i of the subgraph is ``kept[i]`` in the input.
@@ -224,7 +167,7 @@ def reduce_girth(d: Digraph, k: int, g: int, seed=None, max_retries: int = 64,
         assert min_out_degree(sub) >= k
         lv = {i: int(levels[v]) for v, i in index.items()}
         assert all((lv[u] + 1) % g == lv[v] for u, v in sub.arcs()), "level invariant broken"
-        if verify == "full" or (verify == "auto" and sub.n * sub.m <= _GIRTH_CHECK_WORK):
+        if sub.n * sub.m <= _GIRTH_CHECK_WORK:
             assert directed_girth(sub) >= g
         return sub, kept_ids
     raise RetriesExhausted(f"no qualifying subgraph in {max_retries} attempts")
@@ -511,23 +454,21 @@ class ContractionRecord:
     out_nbrs: tuple[int, ...]
 
 
-def _contract(work: _Work, arc: tuple[int, int]) -> ContractionRecord:
+def _contract(work: Digraph, arc: tuple[int, int]) -> tuple[Digraph, ContractionRecord]:
+    """Contract the arc (x, y): x's in-neighbours are rerouted to y and x
+    stays behind as an isolated id, so every other id keeps its meaning."""
     x, y = arc
     if work.has_arc(y, x):
         raise _Stuck("digon-at-contraction", {"arc": arc})
-    ins = tuple(work.in_nbrs(x))
-    outs = tuple(work.out_nbrs(x))
-    record = ContractionRecord(x=x, y=y, in_nbrs=ins, out_nbrs=outs)
+    ins = work.in_nbrs(x)
+    outs = work.out_nbrs(x)
     for z in ins:
         if work.has_arc(z, y):
             # a common in-neighbour of x and y contradicts the property
             # failure that licensed this contraction
             raise _Stuck("contraction-collision", {"arc": arc, "vertex": z})
-    work.remove_vertex(x)
-    for z in ins:
-        if z != y:
-            work.add_arc(z, y)
-    return record
+    rest = work.without_arcs([(x, w) for w in outs] + [(z, x) for z in ins])
+    return rest.with_arcs((z, y) for z in ins), ContractionRecord(x=x, y=y, in_nbrs=ins, out_nbrs=outs)
 
 
 def _lift_certificate(cert: SubdivisionCertificate, records: list[ContractionRecord]) -> SubdivisionCertificate:
@@ -587,25 +528,28 @@ def find_cab(d: Digraph, a: int, b: int, budget: SearchBudget | int | None = Non
         _log(log, {"event": "close", "via": "exact-cycle", "n": d.n})
         return fast
 
-    work = _Work(d)
+    # the working graph keeps d's ids: a contracted vertex stays behind
+    # isolated, and the live vertex count is d.n - len(records)
+    work = d
     records: list[ContractionRecord] = []
     while True:
-        _trim(work, params.k, log)
+        work = _trim(work, params.k, log)
         try:
             found = _grow_and_close(work, params, budget, log)
         except PropertyViolated as pv:
             try:
-                records.append(_contract(work, pv.arc))
+                work, record = _contract(work, pv.arc)
             except _Stuck as stuck:
                 return NotFound(stuck.reason, stuck.details)
-            _log(log, {"event": "contract", "arc": pv.arc, "n": work.n, "m": work.m})
+            records.append(record)
+            _log(log, {"event": "contract", "arc": pv.arc, "n": d.n - len(records), "m": work.m})
             continue
         except _Stuck as stuck:
             return NotFound(stuck.reason, stuck.details)
         except PreconditionUnverifiable as pre:
             return NotFound("degree-below-threshold", {"witness": pre.witness, "why": str(pre)})
-        if isinstance(found, NotFound):
-            return found
+        if found is None:
+            return NotFound("no-seedable-arc", {"n": d.n - len(records), "m": work.m})
         cert = _lift_certificate(found, records)
         report = validate_certificate(d, pattern, cert)
         assert report, f"lifted certificate invalid: {report.violation}"
@@ -625,22 +569,21 @@ def _exact_cycle_certificate(d: Digraph, pattern: Digraph) -> SubdivisionCertifi
     return certificate_from_cycle(set(d.arcs()), pattern, d)
 
 
-def _trim(work: _Work, k: int, log) -> None:
-    trimmed = 0
-    for v in sorted(work.vertices()):
-        row = work.out[v]
-        while len(row) > k:
-            work.remove_arc(v, row[-1])
-            trimmed += 1
-    if trimmed:
-        _log(log, {"event": "trim", "arcs_removed": trimmed})
+def _trim(work: Digraph, k: int, log) -> Digraph:
+    """The graph whose rows keep their k lowest out-neighbours."""
+    trimmed = sum(max(0, work.out_degree(v) - k) for v in work.vertices())
+    if not trimmed:
+        return work
+    _log(log, {"event": "trim", "arcs_removed": trimmed})
+    return Digraph(work.n, tuple(work.out_nbrs(v)[:k] for v in work.vertices()))
 
 
-def _grow_and_close(work: _Work, params: CabParams, budget: SearchBudget, log):
-    a, b, g = params.a, params.b, params.g
+def _grow_and_close(work: Digraph, params: CabParams, budget: SearchBudget, log):
+    """Certificate on ``work``, or None when no arc seeds a chain."""
+    b = params.b
     chain = _seed_chain(work, params, budget)
     if chain is None:
-        return NotFound("no-seedable-arc", {"n": work.n, "m": work.m})
+        return None
     _log(log, {"event": "extend", "via": "seed", "spine": chain.m})
 
     while True:
@@ -652,10 +595,10 @@ def _grow_and_close(work: _Work, params: CabParams, budget: SearchBudget, log):
         tail_vs = chain.subchain(i0, chain.m).vertex_set() if i0 > 0 else chain_vs
         old_vs = chain_vs - tail_vs
 
-        action = _scan(work, view, chain, old_vs, tail_vs, i0, params, budget, log)
+        action = _scan(work, view, chain, chain_vs, old_vs, tail_vs, i0, params, budget, log)
         if action is None:
             p0, gadget = embed_gadget_iii(view, vm, b, params.h, params.d, budget)
-            chain = _extend_with_merge(work, chain, p0, gadget, params)
+            chain = _extend_with_merge(chain, p0, gadget)
             _log(log, {"event": "extend", "via": "merge", "spine": chain.m})
             continue
         kind, payload = action
@@ -665,8 +608,8 @@ def _grow_and_close(work: _Work, params: CabParams, budget: SearchBudget, log):
         _log(log, {"event": "extend", "via": kind, "spine": chain.m})
 
 
-def _seed_chain(work: _Work, params: CabParams, budget: SearchBudget) -> Chain | None:
-    for u in sorted(work.vertices()):
+def _seed_chain(work: Digraph, params: CabParams, budget: SearchBudget) -> Chain | None:
+    for u in work.vertices():
         for v in work.out_nbrs(u):
             gadget = embed_gadget_i_or_ii(work, u, v, params.b, params.g, budget)
             return Chain(spine=(u, v), gadgets={0: _chain_form(gadget)})
@@ -684,10 +627,12 @@ def _chain_form(gadget: Gadget) -> Gadget:
     return gadget
 
 
-def _scan(work, view, chain: Chain, old_vs: set, tail_vs: set, i0: int,
+def _scan(work, view, chain: Chain, chain_vs: set, old_vs: set, tail_vs: set, i0: int,
           params: CabParams, budget: SearchBudget, log):
     """One breadth-first pass near the chain's head.
 
+    ``chain_vs`` is the chain's vertex set, split into ``tail_vs`` (the
+    spine from index ``i0`` on, with its gadgets) and ``old_vs``.
     Returns ("cert", certificate) on a closure, (label, chain) on an
     extension, or None when the whole ball yields no move.
     """
@@ -714,13 +659,13 @@ def _scan(work, view, chain: Chain, old_vs: set, tail_vs: set, i0: int,
         if u != vm:
             w = parent[u]
             gadget = embed_gadget_i_or_ii(work, w, u, b, g, budget)
-            touched = gadget.vertices() & chain.vertex_set()
+            touched = gadget.vertices() & chain_vs
             if touched <= {vm}:
-                grown = _extend_with_fresh_gadget(work, chain, parent, u, gadget, params)
+                grown = _extend_with_fresh_gadget(chain, parent, u, gadget, params)
                 if grown is not None:
                     return "fresh-gadget", grown
             elif not (gadget.vertices() & tail_vs) and i0 > 0:
-                cert = _close_via_gadget(work, chain, parent, u, gadget, i0, params, log)
+                cert = _close_via_gadget(work, chain, chain_vs, parent, u, gadget, i0, params, log)
                 if cert is not None:
                     return "cert", cert
 
@@ -733,17 +678,29 @@ def _scan(work, view, chain: Chain, old_vs: set, tail_vs: set, i0: int,
     return None
 
 
-def _subchain_from(chain: Chain, start_idx: int) -> tuple[Path, dict[int, Gadget]]:
-    spine = chain.spine[start_idx:]
-    gadgets = {i - start_idx: gg for i, gg in chain.gadgets.items() if i >= start_idx}
-    return spine, gadgets
-
-
 def _gadget_index_of(chain: Chain, x: int, below: int) -> int | None:
     for idx in range(below - 1, -1, -1):
         if x in chain.gadget_at(idx).vertices():
             return idx
     return None
+
+
+def _close_from(work, chain: Chain, idx: int, tail: Path, closure, via: str, params, log):
+    """Close the chain cut at spine index ``idx`` and extended by ``tail``.
+
+    Returns the certificate, or None when the extended spine repeats a
+    vertex or ``close_chain`` rejects the closure.
+    """
+    sub = chain.subchain(idx, chain.m)
+    trial = Chain(spine=sub.spine + tail, gadgets=sub.gadgets)
+    if len(set(trial.spine)) != len(trial.spine):
+        return None
+    try:
+        cert = close_chain(work, trial, closure, params.a, params.b)
+    except (ClosureInvalid, ChainTooPoor, OverlapViolation, EndpointMismatch, DegeneratePattern, BadParams):
+        return None
+    _log(log, {"event": "close", "via": via, "spine": trial.m})
+    return cert
 
 
 def _close_via_arc(work, chain, parent, u, x, i0, params, log):
@@ -753,26 +710,17 @@ def _close_via_arc(work, chain, parent, u, x, i0, params, log):
     if idx is None:
         return None
     q_path = path_to(parent, chain.spine[-1], u)
-    spine, gadgets = _subchain_from(chain, idx)
-    trial = Chain(spine=spine + q_path[1:], gadgets=gadgets)
-    if len(set(trial.spine)) != len(trial.spine):
-        return None
-    try:
-        cert = close_chain(work, trial, Condition1(x=x), params.a, params.b)
-    except (ClosureInvalid, ChainTooPoor, OverlapViolation, EndpointMismatch, DegeneratePattern, BadParams):
-        return None
-    _log(log, {"event": "close", "via": "arc", "spine": trial.m})
-    return cert
+    return _close_from(work, chain, idx, q_path[1:], Condition1(x=x), "arc", params, log)
 
 
-def _close_via_gadget(work, chain, parent, u, gadget, i0, params, log):
+def _close_via_gadget(work, chain, chain_vs, parent, u, gadget, i0, params, log):
     """Condition-2 (dominating) or condition-1 (cycle) closure through a
     gadget that touches only the chain's old part."""
     vm = chain.spine[-1]
     q_path = path_to(parent, vm, u)
 
     if gadget.kind is GadgetKind.TYPE_II_EXTENDED:
-        touched = gadget.vertices() & (chain.vertex_set() - {vm})
+        touched = gadget.vertices() & (chain_vs - {vm})
         indices = [
             found
             for found in (_gadget_index_of(chain, x, i0) for x in touched)
@@ -780,22 +728,12 @@ def _close_via_gadget(work, chain, parent, u, gadget, i0, params, log):
         ]
         if not indices:
             return None
-        idx = max(indices)
-        spine, gadgets = _subchain_from(chain, idx)
-        trial = Chain(spine=spine + q_path[1:-1], gadgets=gadgets)
-        if len(set(trial.spine)) != len(trial.spine):
-            return None
-        try:
-            cert = close_chain(work, trial, Condition2(zstar=u, gstar=gadget), params.a, params.b)
-        except (ClosureInvalid, ChainTooPoor, OverlapViolation, EndpointMismatch, DegeneratePattern, BadParams):
-            return None
-        _log(log, {"event": "close", "via": "dominating-gadget", "spine": trial.m})
-        return cert
+        return _close_from(work, chain, max(indices), q_path[1:-1],
+                           Condition2(zstar=u, gstar=gadget), "dominating-gadget", params, log)
 
     # cycle gadget: ride it from the first fresh-path vertex on it to the
     # first chain vertex; the arc entering the chain closes things up
     cyc = gadget.cycle
-    chain_vs = chain.vertex_set()
     on_cycle = set(cyc)
     j = next((jj for jj in range(len(q_path)) if q_path[jj] in on_cycle), None)
     if j is None or j == 0:
@@ -806,23 +744,14 @@ def _close_via_gadget(work, chain, parent, u, gadget, i0, params, log):
     if hit is None:
         return None
     x = rotated[hit]
-    y = rotated[hit - 1]
     idx = _gadget_index_of(chain, x, i0)
     if idx is None:
         return None
-    spine, gadgets = _subchain_from(chain, idx)
-    trial = Chain(spine=spine + q_path[1:j + 1] + rotated[1:hit], gadgets=gadgets)
-    if len(set(trial.spine)) != len(trial.spine):
-        return None
-    try:
-        cert = close_chain(work, trial, Condition1(x=x), params.a, params.b)
-    except (ClosureInvalid, ChainTooPoor, OverlapViolation, EndpointMismatch, DegeneratePattern, BadParams):
-        return None
-    _log(log, {"event": "close", "via": "cycle-gadget", "spine": trial.m})
-    return cert
+    return _close_from(work, chain, idx, q_path[1:j + 1] + rotated[1:hit],
+                       Condition1(x=x), "cycle-gadget", params, log)
 
 
-def _extend_with_fresh_gadget(work, chain: Chain, parent, u, gadget: Gadget, params: CabParams):
+def _extend_with_fresh_gadget(chain: Chain, parent, u, gadget: Gadget, params: CabParams):
     """Append the explored path and a fresh gadget to the chain."""
     vm = chain.spine[-1]
     q_path = path_to(parent, vm, u)
@@ -863,7 +792,7 @@ def _extend_with_fresh_gadget(work, chain: Chain, parent, u, gadget: Gadget, par
     return trial
 
 
-def _extend_with_merge(work, chain: Chain, p0: Path, gadget: Gadget, params: CabParams) -> Chain:
+def _extend_with_merge(chain: Chain, p0: Path, gadget: Gadget) -> Chain:
     assert p0[0] == chain.spine[-1] and p0[-1] == gadget.p
     new_spine = chain.spine + p0[1:] + (gadget.q,)
     new_gadgets = dict(chain.gadgets)

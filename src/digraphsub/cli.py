@@ -40,7 +40,7 @@ from .errors import BadParams, BudgetExceeded, DegeneratePattern, DigraphError, 
 from .k3e import find_k3e
 from .mader import CSV_HEADER, lower_witness, verify_upper
 from .menger import strong_arc_connectivity
-from .oracle import SearchBudget, SubdivisionCertificate, validate_certificate
+from .oracle import DEFAULT_BUDGET, SearchBudget, SubdivisionCertificate, validate_certificate
 from .outcome import NotFound
 from .two_block import find_two_block
 
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     find = sub.add_parser("find", help="search a host for a pattern subdivision")
     find.add_argument("--in", dest="input", required=True, help="edge-list file")
     find.add_argument("--pattern", required=True)
-    find.add_argument("--budget", type=int, default=10**6)
+    find.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     find.add_argument("--seed", type=int, default=0)
     find.add_argument("--out", help="certificate JSON path")
     find.add_argument("--log", help="run-log JSONL path")
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     verify.add_argument("--samples", type=int, default=1000)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--budget", type=int, default=10**6)
+    verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     verify.add_argument("--out", help="report JSON path")
     verify.add_argument("--csv", help="summary CSV path")
     verify.set_defaults(func=cmd_verify)
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     witness = sub.add_parser("witness", help="generic lower-bound witness")
     witness.add_argument("--pattern", required=True)
-    witness.add_argument("--budget", type=int, default=10**7)
+    witness.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     witness.add_argument("--out")
     witness.set_defaults(func=cmd_witness)
 

@@ -44,24 +44,20 @@ class BuildingBlock:
     verified: bool
 
     @classmethod
-    def wrap(cls, graph: Digraph, claimed: BlockProperty,
-             check_budget: int | None = 10**6) -> "BuildingBlock":
+    def wrap(cls, graph: Digraph, claimed: BlockProperty) -> "BuildingBlock":
+        """Wrap ``graph`` once the oracle confirms the claim within the
+        default budget; ``PropertyMismatch`` otherwise."""
         k = min_out_degree(graph)
-        verified = False
-        if check_budget:
-            try:
-                if claimed is BlockProperty.NO_EVEN_DICYCLE:
-                    verified = not has_even_dicycle(graph, SearchBudget(check_budget))
-                else:
-                    verified = (
-                        contains_subdivision(graph, bioriented_star(3), SearchBudget(check_budget))
-                        is None
-                    )
-            except BudgetExceeded:
-                verified = False
-            if not verified:
-                raise PropertyMismatch(f"block does not satisfy {claimed.value}")
-        return cls(graph=graph, claimed=claimed, k=k, verified=verified)
+        try:
+            if claimed is BlockProperty.NO_EVEN_DICYCLE:
+                verified = not has_even_dicycle(graph, SearchBudget())
+            else:
+                verified = contains_subdivision(graph, bioriented_star(3), SearchBudget()) is None
+        except BudgetExceeded:
+            verified = False
+        if not verified:
+            raise PropertyMismatch(f"block does not satisfy {claimed.value}")
+        return cls(graph=graph, claimed=claimed, k=k, verified=True)
 
 
 def odd_cycle_block(length: int = 5) -> BuildingBlock:

@@ -882,56 +882,3 @@ def _closure_alt_path(host, chain: Chain, closure, first: Gadget, b: int) -> Alt
         )
     raise ClosureInvalid("trivial first gadget offers no interior vertex")
 
-
-# ---------------------------------------------------------------------------
-# chain serialization (test fixtures)
-# ---------------------------------------------------------------------------
-
-def gadget_to_dict(gadget: Gadget) -> dict:
-    out = {"kind": gadget.kind.value, "p": gadget.p, "q": gadget.q}
-    if gadget.r is not None:
-        out["r"] = gadget.r
-    for name in ("cycle", "p1", "p2"):
-        part = getattr(gadget, name)
-        if part is not None:
-            out[name] = list(part)
-    if gadget.link is not None:
-        out["link"] = list(gadget.link)
-    return out
-
-
-def gadget_from_dict(payload: dict) -> Gadget:
-    link = payload.get("link")
-    return Gadget(
-        kind=GadgetKind(payload["kind"]),
-        p=payload["p"],
-        q=payload["q"],
-        r=payload.get("r"),
-        cycle=tuple(payload["cycle"]) if "cycle" in payload else None,
-        p1=tuple(payload["p1"]) if "p1" in payload else None,
-        p2=tuple(payload["p2"]) if "p2" in payload else None,
-        link=tuple(link) if link else None,
-    )
-
-
-def chain_to_json(chain: Chain) -> str:
-    import json
-
-    return json.dumps(
-        {
-            "spine": list(chain.spine),
-            "a2": chain.a2_indices(),
-            "gadgets": {str(i): gadget_to_dict(g) for i, g in sorted(chain.gadgets.items())},
-        },
-        indent=2,
-    )
-
-
-def chain_from_json(text: str) -> Chain:
-    import json
-
-    payload = json.loads(text)
-    return Chain(
-        spine=tuple(payload["spine"]),
-        gadgets={int(i): gadget_from_dict(g) for i, g in payload["gadgets"].items()},
-    )

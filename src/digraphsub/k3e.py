@@ -42,7 +42,7 @@ class ContractStep:
     real_in: tuple[int, ...]  # in-neighbours v0 kept
 
 
-def find_k3e(d: Digraph, v0: int | None = None, depth_budget: int | None = None,
+def find_k3e(d: Digraph, v0: int | None = None,
              trace: list | None = None) -> SubdivisionCertificate:
     """Certificate for a subdivision of the bioriented triangle minus an
     arc, in any digraph meeting the degree precondition.
@@ -63,8 +63,7 @@ def find_k3e(d: Digraph, v0: int | None = None, depth_budget: int | None = None,
             raise PreconditionViolated(v)
 
     adj: Adj = {v: d.out_nbrs(v) for v in d.vertices()}
-    limit = depth_budget if depth_budget is not None else 2 * d.n + 16
-    cert = _solve(adj, v0, limit, trace)
+    cert = _solve(adj, v0, 2 * d.n + 16, trace)
     report = validate_certificate(d, k3_minus_e(), cert)
     assert report, f"lifted certificate invalid: {report.violation}"
     return cert

@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 from .core import Digraph, bioriented_clique, build_digraph
 from .errors import BudgetExceeded, TooLarge
-from .oracle import SearchBudget, contains_subdivision, validate_certificate
+from .oracle import DEFAULT_BUDGET, SearchBudget, contains_subdivision, validate_certificate
 
 EXHAUSTIVE_LIMIT = 5
 
@@ -146,9 +146,7 @@ def verify_upper(
     finder: Callable[[Digraph], object] | None = None,
     samples: int = 1000,
     seed: int = 0,
-    budget: int = 10**6,
-    shard: int = 0,
-    shards: int = 1,
+    budget: int = DEFAULT_BUDGET,
 ) -> MaderReport:
     """Check that every host with the given degree floor contains a
     subdivision of the pattern.
@@ -178,7 +176,7 @@ def verify_upper(
     def hosts() -> Iterator[Digraph]:
         if mode == "exhaustive":
             for n in range(2, n_max + 1):
-                yield from enumerate_digraphs(n, tested_degree, shard, shards)
+                yield from enumerate_digraphs(n, tested_degree)
         else:
             rng = random.Random(seed)
             for _ in range(samples):
@@ -213,7 +211,7 @@ def verify_upper(
     )
 
 
-def lower_witness(pattern: Digraph, budget: int = 10**7) -> tuple[Digraph, bool]:
+def lower_witness(pattern: Digraph, budget: int = DEFAULT_BUDGET) -> tuple[Digraph, bool]:
     """The bioriented clique one vertex smaller than the pattern, plus
     whether the oracle confirmed it hosts no subdivision.
 

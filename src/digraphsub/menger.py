@@ -146,7 +146,11 @@ def _split_network(d: Digraph, inner_uncapped: set[int]) -> _UnitFlow:
 
 
 def _decompose_paths(net: _UnitFlow, s, t, k: int) -> list[list]:
-    """Split a k-unit flow into k node sequences from s to t."""
+    """Split a k-unit flow into k node sequences from s to t.
+
+    ``net`` must be frozen, so each step takes the lowest node by
+    ``_node_key`` that still carries flow.
+    """
     remaining: dict[tuple[object, object], int] = {}
     for arc in net.orig:
         f = net.flow(*arc)
@@ -157,7 +161,7 @@ def _decompose_paths(net: _UnitFlow, s, t, k: int) -> list[list]:
         seq = [s]
         while (u := seq[-1]) != t:
             step = None
-            for v in sorted(net.adj.get(u, ()), key=_node_key):
+            for v in net.adj.get(u, ()):
                 if remaining.get((u, v), 0) > 0:
                     step = v
                     break

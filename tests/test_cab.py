@@ -59,7 +59,7 @@ class TestReduceGirth:
         k, g = 3, 4
         n = int(2 * k * g * g * math.log(g)) + 1
         d = bioriented_clique(n)
-        sub, kept = reduce_girth(d, k, g, seed=5, verify="full")
+        sub, kept = reduce_girth(d, k, g, seed=5)
         assert min_out_degree(sub) >= k
         assert directed_girth(sub) >= g
         assert len(kept) == sub.n
@@ -303,6 +303,21 @@ class TestChainMachineEndToEnd:
         from digraphsub.synthetic import pendant_contraction_host
 
         d = pendant_contraction_host(210)
+        log = []
+        cert = find_cab(d, 2, 1, budget=10**6, log=log)
+        assert not isinstance(cert, NotFound)
+        assert validate_certificate(d, pattern_cab(2, 1), cert)
+        assert any(e["event"] == "contract" for e in log)
+
+    def test_contraction_on_relabelled_host(self):
+        # an isomorphic copy of the pendant host: contracted vertices
+        # stay behind as isolated ids, so the certificate may use the
+        # largest ids
+        from digraphsub.synthetic import pendant_contraction_host
+
+        base = pendant_contraction_host(210)
+        swap = {625: 631, 631: 625}
+        d = build_digraph(base.n, [(swap.get(u, u), swap.get(v, v)) for u, v in base.arcs()])
         log = []
         cert = find_cab(d, 2, 1, budget=10**6, log=log)
         assert not isinstance(cert, NotFound)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from digraphsub.cli import main, parse_pattern
+from digraphsub.cli import build_parser, main, parse_pattern
 from digraphsub.core import (
     bioriented_clique,
     directed_cycle,
@@ -11,6 +11,7 @@ from digraphsub.core import (
     write_edge_list,
 )
 from digraphsub.errors import BadParams, DegeneratePattern
+from digraphsub.oracle import DEFAULT_BUDGET
 
 
 @pytest.fixture
@@ -25,6 +26,16 @@ def bivec_k4_file(tmp_path):
     path = tmp_path / "k4.edges"
     path.write_text(write_edge_list(bioriented_clique(4)))
     return str(path)
+
+
+class TestBudgetDefault:
+    @pytest.mark.parametrize("argv", [
+        ["find", "--in", "host.edges", "--pattern", "cab:2,1"],
+        ["verify", "--pattern", "k3e", "--k", "2"],
+        ["witness", "--pattern", "k3e"],
+    ])
+    def test_budget_defaults_to_library_default(self, argv):
+        assert build_parser().parse_args(argv).budget == DEFAULT_BUDGET
 
 
 class TestPatternLanguage:

@@ -431,21 +431,3 @@ class TestCloseChain:
         with pytest.raises(ClosureInvalid):
             close_chain(host, chain, Condition1(x=outsider), a, b)
 
-
-class TestChainSerialization:
-    def test_round_trip(self, rng):
-        from digraphsub.gadgets import chain_from_json, chain_to_json
-
-        alloc = IdAllocator()
-        _, chain = random_chain(rng, alloc, 2, 16, 5)
-        assert chain_from_json(chain_to_json(chain)) == chain
-
-    def test_fields_present(self, rng):
-        from digraphsub.gadgets import chain_to_json
-        import json
-
-        alloc = IdAllocator()
-        _, chain = random_chain(rng, alloc, 1, 4, 3)
-        payload = json.loads(chain_to_json(chain))
-        assert set(payload) == {"spine", "a2", "gadgets"}
-        assert payload["a2"] == chain.a2_indices()
