@@ -41,13 +41,11 @@ class BuildingBlock:
     graph: Digraph
     claimed: BlockProperty
     k: int
-    verified: bool
 
     @classmethod
     def wrap(cls, graph: Digraph, claimed: BlockProperty) -> "BuildingBlock":
         """Wrap ``graph`` once the oracle confirms the claim within the
         default budget; ``PropertyMismatch`` otherwise."""
-        k = min_out_degree(graph)
         try:
             if claimed is BlockProperty.NO_EVEN_DICYCLE:
                 verified = not has_even_dicycle(graph, SearchBudget())
@@ -57,7 +55,7 @@ class BuildingBlock:
             verified = False
         if not verified:
             raise PropertyMismatch(f"block does not satisfy {claimed.value}")
-        return cls(graph=graph, claimed=claimed, k=k, verified=True)
+        return cls(graph=graph, claimed=claimed, k=min_out_degree(graph))
 
 
 def odd_cycle_block(length: int = 5) -> BuildingBlock:

@@ -13,7 +13,6 @@ from any source can be validated here against its pattern.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -145,36 +144,69 @@ _AUTO_LIMIT = 8
 
 
 def automorphisms(pattern: Digraph) -> list[tuple[int, ...]]:
-    """All arc-preserving vertex permutations, by brute force.
+    """All arc-preserving vertex permutations, in lexicographic order.
 
-    Only used for patterns with at most 8 vertices; larger patterns get
-    the identity alone.
+    Backtracking places ``perm[0], perm[1], ...`` in ascending order,
+    keeps only images with the same (out, in) degrees, and checks each
+    pattern arc as soon as its later endpoint is placed.  Only used for
+    patterns with at most 8 vertices; larger patterns get the identity
+    alone.
     """
-    if pattern.n > _AUTO_LIMIT:
-        return [tuple(range(pattern.n))]
-    arcs = set(pattern.arcs())
+    n = pattern.n
+    if n > _AUTO_LIMIT:
+        return [tuple(range(n))]
     degs = [(pattern.out_degree(v), pattern.in_degree(v)) for v in pattern.vertices()]
-    out = []
-    for perm in itertools.permutations(range(pattern.n)):
-        if any(degs[v] != degs[perm[v]] for v in range(pattern.n)):
-            continue
-        if all((perm[u], perm[v]) in arcs for u, v in arcs):
-            out.append(perm)
+    closing = _arcs_by_later_end(pattern)
+    perm: list[int] = []
+    used = [False] * n
+    out: list[tuple[int, ...]] = []
+
+    def extend(i: int) -> None:
+        if i == n:
+            out.append(tuple(perm))
+            return
+        for w in range(n):
+            if used[w] or degs[w] != degs[i]:
+                continue
+            perm.append(w)
+            if all(pattern.has_arc(perm[u], perm[v]) for u, v in closing[i]):
+                used[w] = True
+                extend(i + 1)
+                used[w] = False
+            perm.pop()
+
+    extend(0)
     return out
 
 
-def _orbit_minimal(assignment: list[int], autos: list[tuple[int, ...]]) -> bool:
-    """True iff the branch tuple is lexicographically first in its orbit.
+def _arcs_by_later_end(pattern: Digraph) -> list[list[tuple[int, int]]]:
+    """Per pattern vertex v: the arcs whose larger endpoint is v, sorted;
+    a search placing vertices in id order can check them once v is placed."""
+    closing: list[list[tuple[int, int]]] = [[] for _ in pattern.vertices()]
+    for x, y in pattern.arcs():
+        closing[max(x, y)].append((x, y))
+    return closing
+
+
+def _orbit_floors(autos: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
+    """Per pattern vertex m: the earlier vertices whose images must be
+    smaller than m's for the branch tuple to be orbit-minimal.
 
     Composing a valid branch map with a pattern automorphism yields
     another valid branch map of the same subdivision, so only the
-    orbit-minimal representative needs to be explored.
+    lexicographically first tuple of each orbit needs to be explored.
+    For an injective tuple, ``assignment∘σ`` first differs from
+    ``assignment`` at σ's first moved point i, where it holds
+    ``assignment[σ(i)]`` with σ(i) > i; so the tuple is orbit-minimal
+    iff ``assignment[i] < assignment[σ(i)]`` for every σ, and that test
+    is decided as soon as vertex σ(i) is placed.
     """
-    base = tuple(assignment)
+    floors: list[set[int]] = [set() for _ in range(n)]
     for sigma in autos:
-        if tuple(assignment[sigma[i]] for i in range(len(assignment))) < base:
-            return False
-    return True
+        moved = next((i for i in range(n) if sigma[i] != i), None)
+        if moved is not None:
+            floors[sigma[moved]].add(moved)
+    return [tuple(sorted(f)) for f in floors]
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +253,16 @@ def contains_subdivision(
 
     Candidate images are pre-filtered by degrees and by disjoint-cycle
     counts (a pattern vertex lying on k mutually disjoint pattern cycles
-    needs a host image on k mutually disjoint host cycles), and a
-    reachability lookahead prunes doomed partial embeddings.
+    needs a host image on k mutually disjoint host cycles).  Every
+    partial branch assignment is pruned twice before it is extended:
+    by pattern symmetry (it must be able to complete to the
+    lexicographically first tuple of its orbit under the pattern's
+    automorphisms) and by reachability (each pattern arc whose endpoints
+    are both placed needs a host dipath avoiding the other images placed
+    so far).  Both only cut subtrees in which every full assignment would
+    be rejected before a path is laid, so the first certificate found is
+    the same as without them.  A reachability lookahead over all
+    remaining arcs also prunes doomed partial path embeddings.
     """
     budget = as_budget(budget)
     if pattern.n == 0:
@@ -230,8 +270,9 @@ def contains_subdivision(
     if host.n < pattern.n:
         return None
 
-    autos = automorphisms(pattern)
+    floors = _orbit_floors(automorphisms(pattern), pattern.n)
     p_arcs = sorted(pattern.arcs(), key=lambda arc: (max(arc), arc))
+    closing = _arcs_by_later_end(pattern)
     need = [(pattern.out_degree(v), pattern.in_degree(v)) for v in pattern.vertices()]
     cycle_need = _cycle_needs(pattern)
     candidates = []
@@ -251,20 +292,34 @@ def contains_subdivision(
 
     def assign(depth: int) -> SubdivisionCertificate | None:
         if depth == pattern.n:
-            if not _orbit_minimal(assignment, autos):
-                return None
             return embed_arcs(0, {}, frozenset(assignment))
         used = set(assignment)
+        floor = max((assignment[i] for i in floors[depth]), default=-1)
         for w in candidates[depth]:
-            if w in used:
+            if w in used or w < floor:
                 continue
             budget.charge(1, phase="branch", depth=depth)
             assignment.append(w)
-            found = assign(depth + 1)
-            if found is not None:
-                return found
+            if reachable(depth):
+                found = assign(depth + 1)
+                if found is not None:
+                    return found
             assignment.pop()
         return None
+
+    def reachable(depth: int) -> bool:
+        """Each arc closed by placing ``depth`` has a host dipath that
+        avoids the other images placed so far (a host arc at no cost)."""
+        placed = set(assignment)
+        for x, y in closing[depth]:
+            s, t = assignment[x], assignment[y]
+            if host.has_arc(s, t):
+                continue
+            budget.charge(1, phase="lookahead")
+            dist, _ = bfs_levels(host, s, avoid=placed - {s, t}, targets=(t,))
+            if t not in dist:
+                return False
+        return True
 
     def viable(idx: int, occupied: frozenset) -> bool:
         """Every remaining arc must still admit some dipath on its own."""

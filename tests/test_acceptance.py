@@ -22,7 +22,7 @@ from digraphsub.core import (
     pattern_cab,
     pattern_two_block,
 )
-from digraphsub.errors import BudgetExceeded
+from digraphsub.errors import BudgetExceeded, RetriesExhausted
 from digraphsub.gadgets import (
     FIRST_TO_SECOND,
     base_alt_path,
@@ -254,7 +254,7 @@ def test_criterion_6_girth_reduction():
         host = _random_200_out(seed=trial)
         try:
             sub, kept = reduce_girth(host, k, g, seed=1000 + trial, max_retries=64)
-        except Exception:
+        except RetriesExhausted:
             continue
         assert min_out_degree(sub) >= k
         # spot-verify the girth directly from a vertex sample; the level

