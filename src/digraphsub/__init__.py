@@ -39,9 +39,6 @@ from .core import (
     directed_path,
     greedy_maximal_path,
     k3_minus_e,
-    max_in_degree,
-    max_out_degree,
-    min_in_degree,
     min_out_degree,
     pattern_cab,
     pattern_two_block,

@@ -193,24 +193,6 @@ def min_out_degree(d: Digraph) -> int:
     return min(len(d.out_nbrs(v)) for v in d.vertices())
 
 
-def max_out_degree(d: Digraph) -> int:
-    if d.n == 0:
-        raise EmptyGraph("degree of an empty graph")
-    return max(len(d.out_nbrs(v)) for v in d.vertices())
-
-
-def min_in_degree(d: Digraph) -> int:
-    if d.n == 0:
-        raise EmptyGraph("degree of an empty graph")
-    return min(len(d.in_nbrs(v)) for v in d.vertices())
-
-
-def max_in_degree(d: Digraph) -> int:
-    if d.n == 0:
-        raise EmptyGraph("degree of an empty graph")
-    return max(len(d.in_nbrs(v)) for v in d.vertices())
-
-
 # ---------------------------------------------------------------------------
 # reachability / girth / components
 # ---------------------------------------------------------------------------
@@ -468,6 +450,12 @@ def write_edge_list(d: Digraph, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: Largest vertex count ``read_edge_list`` accepts, checked before any
+#: per-vertex storage is allocated; far above every host the package or
+#: its benchmark builds (the largest has 4,000 vertices).
+MAX_VERTICES = 10**6
+
+
 def read_edge_list(text: str) -> Digraph:
     """Parse the ``n m`` edge-list format; ``#`` lines are skipped."""
     rows = [ln.strip() for ln in text.splitlines()]
@@ -483,6 +471,8 @@ def read_edge_list(text: str) -> Digraph:
         raise ParseError(f"non-integer header {rows[0]!r}") from exc
     if n < 0:
         raise ParseError(f"negative vertex count in header {rows[0]!r}")
+    if n > MAX_VERTICES:
+        raise ParseError(f"vertex count in header {rows[0]!r} exceeds MAX_VERTICES = {MAX_VERTICES}")
     if len(rows) - 1 != m:
         raise ParseError(f"expected {m} arc lines, found {len(rows) - 1}")
     arcs = []

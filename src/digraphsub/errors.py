@@ -11,6 +11,11 @@ class DigraphError(Exception):
     """Base class for everything raised by this package."""
 
 
+class InvariantViolation(DigraphError):
+    """A routine's check of its own answer failed; indicates a bug.
+    Raised explicitly, not by ``assert``, so it survives ``python -O``."""
+
+
 # ---- graph construction / queries -----------------------------------------
 
 class LoopArc(DigraphError):

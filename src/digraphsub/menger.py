@@ -1,24 +1,28 @@
 """Disjoint-path primitives and strong arc-connectivity.
 
 Everything here reduces to unit-capacity max-flow with breadth-first
-augmenting paths.  Vertex-disjoint variants split each vertex v into
-(v, in) and (v, out) joined by a unit-capacity internal arc; the
-arc-disjoint connectivity computation keeps plain unit arc capacities.
-Augmenting paths always prefer lower vertex ids, so the returned paths
+augmenting paths (Even & Tarjan 1975) on a residual network whose nodes
+are dense integers.  Vertex-disjoint variants split each vertex v into
+``in_v = 1+v`` and ``out_v = 1+n+v`` joined by a unit-capacity internal
+arc, with node 0 as an auxiliary sink; the arc-disjoint connectivity
+computation keeps plain unit arc capacities on the vertex ids.
+Augmenting paths always prefer lower node ids, so the returned paths
 and cuts are deterministic functions of the input.
 
 Every public routine re-verifies its own answer before returning
-(paths are pairwise internally disjoint, cuts really disconnect); the
-check is cheap at the scales this package targets and turns silent
-corruption into a loud failure.
+(paths are pairwise internally disjoint, cuts really disconnect) and
+raises ``InvariantViolation`` when the check fails; it is cheap at the
+scales this package targets and turns silent corruption into a loud
+failure.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import Digraph, Path, bfs_levels
-from .errors import ArcPresent, EmptyGraph, SameVertex, VertexInSet
+from .errors import ArcPresent, EmptyGraph, InvariantViolation, SameVertex, VertexInSet
 
 
 @dataclass(frozen=True)
@@ -46,140 +50,177 @@ class FanOrCut:
 
 
 # ---------------------------------------------------------------------------
-# generic unit-capacity flow network
+# unit-capacity flow network on dense integer node ids
 # ---------------------------------------------------------------------------
 
 class _UnitFlow:
-    """Unit-capacity network over hashable nodes with BFS augmentation."""
+    """Residual network on nodes ``0..N-1`` with BFS augmentation.
 
-    def __init__(self):
-        self.adj: dict[object, list[object]] = {}
-        self.cap: dict[tuple[object, object], int] = {}
-        self.orig: dict[tuple[object, object], int] = {}
+    Row u is four parallel lists, ascending by neighbour id: the
+    neighbour ``nbr[u][j]``, its residual capacity ``cap[u][j]``, the
+    original capacity ``orig[u][j]`` (0 on a reverse entry) and
+    ``rev[u][j]``, the position of u in the neighbour's row.  Scanning a
+    row in order prefers lower node ids, which fixes every tie-break.
+    """
 
-    def add_arc(self, u, v) -> None:
-        if (u, v) in self.orig:
-            return
-        if (u, v) not in self.cap:
-            self.adj.setdefault(u, []).append(v)
-            self.adj.setdefault(v, []).append(u)
-            self.cap[(u, v)] = 0
-            self.cap.setdefault((v, u), 0)
-        self.cap[(u, v)] += 1
-        self.orig[(u, v)] = self.cap[(u, v)]
+    __slots__ = ("nbr", "cap", "orig", "rev")
 
-    def freeze(self) -> None:
-        for u in self.adj:
-            self.adj[u].sort(key=_node_key)
+    def __init__(self, nbr: list[list[int]], orig: list[list[int]], rev: list[list[int]]):
+        self.nbr = nbr
+        self.orig = orig
+        self.rev = rev
+        self.reset()
 
-    def augment(self, s, t) -> bool:
+    def reset(self) -> None:
+        """Discard all flow."""
+        self.cap = [row[:] for row in self.orig]
+
+    def augment(self, s: int, t: int) -> bool:
         """One BFS augmenting path; returns False when none exists."""
-        parent = {s: None}
+        nbr, cap = self.nbr, self.cap
+        came = [-1] * len(nbr)  # BFS parent of each reached node
+        slot = [-1] * len(nbr)  # its entry in that parent's row
+        came[s] = s
         frontier = [s]
         while frontier:
             nxt = []
             for u in frontier:
-                for v in self.adj.get(u, ()):
-                    if v in parent or self.cap[(u, v)] <= 0:
+                caps = cap[u]
+                for j, v in enumerate(nbr[u]):
+                    if caps[j] <= 0 or came[v] >= 0:
                         continue
-                    parent[v] = u
+                    came[v] = u
+                    slot[v] = j
                     if v == t:
-                        node = t
-                        while parent[node] is not None:
-                            prev = parent[node]
-                            self.cap[(prev, node)] -= 1
-                            self.cap[(node, prev)] += 1
-                            node = prev
+                        rev = self.rev
+                        while v != s:
+                            u, j = came[v], slot[v]
+                            cap[u][j] -= 1
+                            cap[v][rev[u][j]] += 1
+                            v = u
                         return True
                     nxt.append(v)
             frontier = nxt
         return False
 
-    def max_flow(self, s, t, limit: int) -> int:
+    def max_flow(self, s: int, t: int, limit: int) -> int:
         sent = 0
         while sent < limit and self.augment(s, t):
             sent += 1
         return sent
 
-    def residual_reachable(self, s) -> set:
-        seen = {s}
+    def residual_reachable(self, s: int) -> bytearray:
+        """Flag per node: 1 when a residual path from s reaches it."""
+        nbr, cap = self.nbr, self.cap
+        seen = bytearray(len(nbr))
+        seen[s] = 1
         frontier = [s]
         while frontier:
             u = frontier.pop()
-            for v in self.adj.get(u, ()):
-                if v not in seen and self.cap[(u, v)] > 0:
-                    seen.add(v)
+            caps = cap[u]
+            for j, v in enumerate(nbr[u]):
+                if caps[j] > 0 and not seen[v]:
+                    seen[v] = 1
                     frontier.append(v)
         return seen
 
-    def flow(self, u, v) -> int:
-        """Net units carried by the original arc (u, v); 0 if absent."""
-        if (u, v) not in self.orig:
-            return 0
-        return self.orig[(u, v)] - self.cap[(u, v)]
+
+def _split_network(d: Digraph, inner: dict[int, int], sinks=frozenset()) -> _UnitFlow:
+    """Vertex-split copy of d: node 0 is a sink, v becomes ``in_v = 1+v``
+    and ``out_v = 1+n+v`` joined by an internal arc of capacity
+    ``inner.get(v, 1)``, and each vertex in ``sinks`` gets an arc
+    ``out_v -> 0``.
+
+    Graph and sink arcs get capacity n, so every finite cut consists of
+    internal arcs only, i.e. corresponds to a vertex set.  Arcs are
+    linked in ascending order of their ``out_u`` (or, for an internal
+    arc, ``in_u``) end, which appends every entry to its row in
+    ascending neighbour order: no row needs sorting.
+    """
+    n = d.n
+    nbr: list[list[int]] = [[] for _ in range(2 * n + 1)]
+    orig: list[list[int]] = [[] for _ in nbr]
+    rev: list[list[int]] = [[] for _ in nbr]
+
+    def link(a: int, b: int, c: int) -> None:
+        rev[a].append(len(nbr[b]))
+        rev[b].append(len(nbr[a]))
+        nbr[a].append(b)
+        orig[a].append(c)
+        nbr[b].append(a)
+        orig[b].append(0)
+
+    for u in range(n):
+        o_u = 1 + n + u
+        if u in sinks:
+            link(o_u, 0, n)
+        outs = d.out_nbrs(u)
+        k = bisect_left(outs, u)
+        for x in outs[:k]:
+            link(o_u, 1 + x, n)
+        link(1 + u, o_u, inner.get(u, 1))
+        for x in outs[k:]:
+            link(o_u, 1 + x, n)
+    return _UnitFlow(nbr, orig, rev)
 
 
-def _node_key(node) -> tuple:
-    if isinstance(node, tuple):
-        return tuple(_node_key(x) for x in node)
-    if isinstance(node, int):
-        return (0, node)
-    return (1, str(node))
+def _arc_network(d: Digraph) -> _UnitFlow:
+    """d itself with unit arc capacities; a digon shares one entry pair."""
+    nbr = [sorted({*d.out_nbrs(v), *d.in_nbrs(v)}) for v in d.vertices()]
+    orig = [[1 if d.has_arc(v, w) else 0 for w in row] for v, row in enumerate(nbr)]
+    rev = [[bisect_left(nbr[w], v) for w in row] for v, row in enumerate(nbr)]
+    return _UnitFlow(nbr, orig, rev)
 
 
-def _split_network(d: Digraph, inner_uncapped: set[int]) -> _UnitFlow:
-    """Vertex-split copy of d; vertices in ``inner_uncapped`` keep capacity n."""
-    net = _UnitFlow()
-    for v in d.vertices():
-        net.add_arc(("in", v), ("out", v))
-        if v in inner_uncapped:
-            key = (("in", v), ("out", v))
-            net.cap[key] = net.orig[key] = d.n
-    # graph arcs get capacity n so that every finite cut consists of
-    # unit internal arcs only, i.e. corresponds to a vertex set
-    for u, v in d.arcs():
-        net.add_arc(("out", u), ("in", v))
-        key = (("out", u), ("in", v))
-        net.cap[key] = net.orig[key] = d.n
-    net.freeze()
-    return net
-
-
-def _decompose_paths(net: _UnitFlow, s, t, k: int) -> list[list]:
+def _decompose_paths(net: _UnitFlow, s: int, t: int, k: int) -> list[list[int]]:
     """Split a k-unit flow into k node sequences from s to t.
 
-    ``net`` must be frozen, so each step takes the lowest node by
-    ``_node_key`` that still carries flow.
+    Each step takes the lowest-id neighbour that still carries flow.
+    Consumes the flow: every unit taken is handed back to ``net.cap``.
     """
-    remaining: dict[tuple[object, object], int] = {}
-    for arc in net.orig:
-        f = net.flow(*arc)
-        if f > 0:
-            remaining[arc] = f
+    nbr, cap, orig = net.nbr, net.cap, net.orig
     paths = []
     for _ in range(k):
         seq = [s]
         while (u := seq[-1]) != t:
-            step = None
-            for v in net.adj.get(u, ()):
-                if remaining.get((u, v), 0) > 0:
-                    step = v
+            caps, origs = cap[u], orig[u]
+            for j, c in enumerate(caps):
+                if origs[j] > c:
                     break
-            assert step is not None, "flow decomposition lost a unit"
-            remaining[(u, step)] -= 1
-            seq.append(step)
+            else:
+                raise InvariantViolation("flow decomposition lost a unit")
+            caps[j] += 1
+            seq.append(nbr[u][j])
         paths.append(seq)
     return paths
 
 
-def _collapse(seq: list) -> Path:
-    """Project a split-network node sequence back to graph vertices."""
-    out: list[int] = []
-    for node in seq:
-        v = node[1]
-        if not out or out[-1] != v:
-            out.append(v)
-    return tuple(out)
+def _collapse(seq: list[int], n: int) -> Path:
+    """Graph vertices of a split-network sequence ``out_u, in_x, out_x,
+    ..., in_y[, out_y]``: u, then the vertex of every in-node."""
+    return tuple((x - 1) % n for x in seq[:1] + seq[1::2])
+
+
+def _paths_or_cut(d: Digraph, inner: dict[int, int], sinks, source: int, goal: int, k: int):
+    """Split-network flow from ``source`` to ``goal``: ``(sequences, None)``
+    with k node sequences when k units pass, else ``(None, cut)`` with the
+    vertices whose internal arcs form the residual cut."""
+    net = _split_network(d, inner, sinks)
+    sent = net.max_flow(source, goal, k)
+    if sent >= k:
+        return _decompose_paths(net, source, goal, k), None
+    n = d.n
+    reach = net.residual_reachable(source)
+    cut = frozenset(w for w in range(n) if reach[1 + w] and not reach[1 + n + w])
+    _check(len(cut) == sent, "cut size differs from the flow value")
+    return None, cut
+
+
+def _disjoint_cycle_flow(d: Digraph, w: int, limit: int) -> int:
+    """Max number of directed cycles through w pairwise meeting only at w,
+    capped at ``limit``: flow from out_w to in_w with w's own internal
+    arc closed (the oracle's disjoint-cycle filter)."""
+    return _split_network(d, {w: 0}).max_flow(1 + d.n + w, 1 + w, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -199,21 +240,15 @@ def vertex_disjoint_paths(d: Digraph, u: int, v: int, k: int) -> PathsOrCut:
     if k < 1:
         raise ValueError("k must be >= 1")
 
-    net = _split_network(d, inner_uncapped={u, v})
-    sent = net.max_flow(("out", u), ("in", v), k)
-    if sent >= k:
-        raw = _decompose_paths(net, ("out", u), ("in", v), k)
-        paths = tuple(_collapse(seq) for seq in raw)
-        _assert_internally_disjoint(d, paths, u, v)
-        return PathsOrCut(paths=paths, cut=None)
-
-    reach = net.residual_reachable(("out", u))
-    cut = frozenset(
-        w for w in d.vertices() if ("in", w) in reach and ("out", w) not in reach
-    )
-    assert len(cut) == sent < k
-    _assert_cut_separates(d, cut, u, v)
-    return PathsOrCut(paths=None, cut=cut)
+    n = d.n
+    raw, cut = _paths_or_cut(d, {u: n, v: n}, frozenset(), 1 + n + u, 1 + v, k)
+    if raw is None:
+        _check(v not in cut, "cut contains the goal")
+        _check_cut(d, cut, u, {v})
+        return PathsOrCut(paths=None, cut=cut)
+    paths = tuple(_collapse(seq, n) for seq in raw)
+    _check_internally_disjoint(d, paths, u, v)
+    return PathsOrCut(paths=paths, cut=None)
 
 
 def fan_to_set(d: Digraph, v: int, targets, k: int) -> FanOrCut:
@@ -231,32 +266,19 @@ def fan_to_set(d: Digraph, v: int, targets, k: int) -> FanOrCut:
     if k < 1:
         raise ValueError("k must be >= 1")
 
-    sink = ("aux", -1)
-    net = _split_network(d, inner_uncapped={v})
-    for y in a:
-        net.add_arc(("out", y), sink)
-        key = (("out", y), sink)
-        net.cap[key] = net.orig[key] = d.n
-    net.freeze()
-    sent = net.max_flow(("out", v), sink, k)
-    if sent >= k:
-        raw = _decompose_paths(net, ("out", v), sink, k)
-        fan = []
-        for seq in raw:
-            path = _collapse(seq[:-1])
-            stop = next(i for i, w in enumerate(path) if w in a)
-            fan.append(path[: stop + 1])
-        fan_t = tuple(fan)
-        _assert_fan(d, fan_t, v, a)
-        return FanOrCut(fan=fan_t, cut=None)
-
-    reach = net.residual_reachable(("out", v))
-    cut = frozenset(
-        w for w in d.vertices() if ("in", w) in reach and ("out", w) not in reach
-    )
-    assert len(cut) == sent < k and v not in cut
-    _assert_fan_cut(d, cut, v, a)
-    return FanOrCut(fan=None, cut=cut)
+    n = d.n
+    raw, cut = _paths_or_cut(d, {v: n}, a, 1 + n + v, 0, k)
+    if raw is None:
+        _check_cut(d, cut, v, a)
+        return FanOrCut(fan=None, cut=cut)
+    fan = []
+    for seq in raw:
+        path = _collapse(seq[:-1], n)
+        stop = next(i for i, w in enumerate(path) if w in a)
+        fan.append(path[: stop + 1])
+    fan_t = tuple(fan)
+    _check_fan(d, fan_t, v, a)
+    return FanOrCut(fan=fan_t, cut=None)
 
 
 def strong_arc_connectivity(d: Digraph) -> int:
@@ -269,13 +291,11 @@ def strong_arc_connectivity(d: Digraph) -> int:
     """
     if d.n < 2:
         raise EmptyGraph("arc connectivity needs at least two vertices")
+    net = _arc_network(d)
     best = d.m + 1
     for t in range(1, d.n):
         for s, goal in ((0, t), (t, 0)):
-            net = _UnitFlow()
-            for arc in d.arcs():
-                net.add_arc(*arc)
-            net.freeze()
+            net.reset()
             best = min(best, net.max_flow(s, goal, best))
             if best == 0:
                 return 0
@@ -283,38 +303,37 @@ def strong_arc_connectivity(d: Digraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# self-checks
+# self-checks (explicit raises, so ``python -O`` keeps them)
 # ---------------------------------------------------------------------------
 
-def _assert_internally_disjoint(d: Digraph, paths, u: int, v: int) -> None:
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvariantViolation(message)
+
+
+def _check_internally_disjoint(d: Digraph, paths, u: int, v: int) -> None:
     seen: set[int] = set()
     for p in paths:
-        assert p[0] == u and p[-1] == v and len(p) >= 2
-        assert all(d.has_arc(p[i], p[i + 1]) for i in range(len(p) - 1))
+        _check(p[0] == u and p[-1] == v and len(p) >= 2, "path has wrong ends")
+        _check(all(d.has_arc(p[i], p[i + 1]) for i in range(len(p) - 1)), "path uses a non-arc")
         inner = set(p[1:-1])
-        assert len(inner) == len(p) - 2
-        assert not (inner & seen), "paths share an internal vertex"
+        _check(len(inner) == len(p) - 2, "path repeats a vertex")
+        _check(not (inner & seen), "paths share an internal vertex")
         seen |= inner
 
 
-def _assert_cut_separates(d: Digraph, cut, u: int, v: int) -> None:
-    assert u not in cut and v not in cut
-    dist, _ = bfs_levels(d, u, avoid=cut)
-    assert v not in dist, "claimed cut does not separate"
-
-
-def _assert_fan(d: Digraph, fan, v: int, a) -> None:
+def _check_fan(d: Digraph, fan, v: int, a) -> None:
     seen: set[int] = set()
     for p in fan:
-        assert p[0] == v and p[-1] in a
-        assert all(w not in a for w in p[:-1])
-        assert all(d.has_arc(p[i], p[i + 1]) for i in range(len(p) - 1))
+        _check(p[0] == v and p[-1] in a, "fan path has wrong ends")
+        _check(all(w not in a for w in p[:-1]), "fan path crosses the target set early")
+        _check(all(d.has_arc(p[i], p[i + 1]) for i in range(len(p) - 1)), "fan path uses a non-arc")
         tail = set(p[1:])
-        assert not (tail & seen), "fan paths meet outside the apex"
+        _check(not (tail & seen), "fan paths meet outside the apex")
         seen |= tail
 
 
-def _assert_fan_cut(d: Digraph, cut, v: int, a) -> None:
-    assert v not in cut
-    dist, _ = bfs_levels(d, v, avoid=cut)
-    assert not (set(dist) & (a - cut)), "claimed cut does not separate fan"
+def _check_cut(d: Digraph, cut, source: int, goals) -> None:
+    _check(source not in cut, "cut contains the source")
+    dist, _ = bfs_levels(d, source, avoid=cut)
+    _check(not (set(dist) & (goals - cut)), "claimed cut does not separate")

@@ -213,28 +213,12 @@ def _orbit_floors(autos: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]
 # the backtracking search
 # ---------------------------------------------------------------------------
 
-def _disjoint_cycle_flow(d: Digraph, w: int, limit: int) -> int:
-    """Max number of directed cycles through w pairwise meeting only at w,
-    capped at ``limit``; unit vertex capacities via splitting."""
-    net = _menger._UnitFlow()
-    for v in d.vertices():
-        net.add_arc(("in", v), ("out", v))
-    key = (("in", w), ("out", w))
-    net.cap[key] = net.orig[key] = 0
-    for u, v in d.arcs():
-        net.add_arc(("out", u), ("in", v))
-        akey = (("out", u), ("in", v))
-        net.cap[akey] = net.orig[akey] = d.n
-    net.freeze()
-    return net.max_flow(("out", w), ("in", w), limit)
-
-
 def _cycle_needs(pattern: Digraph) -> list[int]:
     """Per pattern vertex: how many pairwise internally disjoint pattern
     cycles pass through it.  Subdivisions preserve this, so host images
     must support at least as many."""
     return [
-        _disjoint_cycle_flow(pattern, x, pattern.n + 1) for x in pattern.vertices()
+        _menger._disjoint_cycle_flow(pattern, x, pattern.n + 1) for x in pattern.vertices()
     ]
 
 
@@ -283,7 +267,7 @@ def contains_subdivision(
             if host.out_degree(w) >= need[v][0] and host.in_degree(w) >= need[v][1]
         ]
         if cycle_need[v] >= 2:
-            pool = [w for w in pool if _disjoint_cycle_flow(host, w, cycle_need[v]) >= cycle_need[v]]
+            pool = [w for w in pool if _menger._disjoint_cycle_flow(host, w, cycle_need[v]) >= cycle_need[v]]
         if not pool:
             return None
         candidates.append(pool)

@@ -4,6 +4,7 @@ import pytest
 
 from digraphsub.cli import build_parser, main, parse_pattern
 from digraphsub.core import (
+    MAX_VERTICES,
     bioriented_clique,
     directed_cycle,
     k3_minus_e,
@@ -109,6 +110,14 @@ class TestCheck:
         cert.write_text('{"branch": [], "paths": []}')
         assert main(["check", "--pattern", "k3e", "--in", bivec_k3_file, "--cert", str(cert)]) == 3
         assert "bad certificate JSON" in capsys.readouterr().err
+
+    def test_vertex_count_over_cap_exit_3(self, bivec_k3_file, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        main(["find", "--pattern", "k3e", "--in", bivec_k3_file, "--out", str(cert)])
+        huge = tmp_path / "huge.edges"
+        huge.write_text(f"{MAX_VERTICES + 1} 0\n")
+        assert main(["check", "--pattern", "k3e", "--in", str(huge), "--cert", str(cert)]) == 3
+        assert "MAX_VERTICES" in capsys.readouterr().err
 
     def test_wrong_pattern(self, bivec_k3_file, tmp_path, capsys):
         cert = tmp_path / "cert.json"

@@ -281,6 +281,15 @@ class TestIO:
         with pytest.raises(ParseError):
             read_edge_list("-1 0")
 
+    def test_vertex_count_over_cap_fails_before_allocating(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(core, "build_digraph", lambda n, arcs: built.append(n))
+        with pytest.raises(ParseError, match="MAX_VERTICES"):
+            read_edge_list(f"{core.MAX_VERTICES + 1} 0")
+        assert built == []
+        read_edge_list(f"{core.MAX_VERTICES} 0")
+        assert built == [core.MAX_VERTICES]
+
     def test_dot_export(self):
         text = to_dot(build_digraph(2, [(0, 1)]))
         assert "0 -> 1;" in text

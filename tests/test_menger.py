@@ -1,8 +1,15 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import digraphsub
 from digraphsub.core import (
     bioriented_clique,
     build_digraph,
@@ -11,9 +18,17 @@ from digraphsub.core import (
     bfs_levels,
 )
 from digraphsub.errors import ArcPresent, EmptyGraph, SameVertex, VertexInSet
-from digraphsub.menger import fan_to_set, strong_arc_connectivity, vertex_disjoint_paths
+from digraphsub.menger import (
+    _arc_network,
+    _split_network,
+    fan_to_set,
+    strong_arc_connectivity,
+    vertex_disjoint_paths,
+)
 
-from .conftest import rand_digraph
+from .conftest import rand_digraph, rand_out_digraph
+
+GOLDEN_MENGER = Path(__file__).parent / "data" / "menger_golden.sha256"
 
 
 def _all_dipaths(d, u, v):
@@ -159,3 +174,105 @@ class TestDuality:
                 dist, _ = bfs_levels(d, u, avoid=res.cut)
                 assert v not in dist
         assert checked > 200
+
+
+class TestResidualRows:
+    def test_rows_ascend_and_pair_with_their_reverse(self, rng):
+        # ascending rows are what make every tie-break prefer the lower
+        # node id; ``rev`` must point at the partner entry
+        for _ in range(60):
+            d = rand_digraph(rng, rng.randrange(2, 10), 0.35)
+            sinks = frozenset(rng.sample(range(d.n), rng.randrange(0, d.n)))
+            for net in (_split_network(d, {0: d.n}, sinks), _arc_network(d)):
+                for u, row in enumerate(net.nbr):
+                    assert row == sorted(set(row))
+                    for j, v in enumerate(row):
+                        assert net.nbr[v][net.rev[u][j]] == u
+                        assert net.cap[u][j] == net.orig[u][j] >= 0
+            net = _split_network(d, {0: d.n}, sinks)
+            arcs = {(u, v) for u, row in enumerate(net.nbr) for j, v in enumerate(row) if net.orig[u][j]}
+            n = d.n
+            expected = {(1 + n + u, 1 + v) for u, v in d.arcs()}
+            expected |= {(1 + v, 1 + n + v) for v in range(n)} | {(1 + n + y, 0) for y in sinks}
+            assert arcs == expected
+
+
+class TestSelfChecks:
+    def test_corrupt_decomposition_raises_under_optimize(self):
+        # the self-checks are explicit raises, so ``python -O`` (which
+        # strips every assert) must still reject a corrupt answer
+        script = textwrap.dedent(
+            """
+            from digraphsub import menger
+            from digraphsub.core import bioriented_clique
+            from digraphsub.errors import InvariantViolation
+
+            assert not __debug__
+            honest = menger._decompose_paths
+            menger._decompose_paths = lambda *args: [honest(*args)[0]] * 2
+            try:
+                menger.vertex_disjoint_paths(bioriented_clique(4).without_arcs([(0, 1)]), 0, 1, 2)
+            except InvariantViolation as exc:
+                print("raised:", exc)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(digraphsub.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "raised: paths share an internal vertex"
+
+
+class TestGoldenAnswers:
+    def test_answers_match_recorded_hash(self):
+        # any change to the augmenting-path order or the flow
+        # decomposition that alters a path, a cut or a value changes it
+        digest = hashlib.sha256()
+        for line in _golden_answers():
+            digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == GOLDEN_MENGER.read_text().strip()
+
+
+def _canonical(res) -> str:
+    if res.found:
+        return "paths " + repr(res.paths if hasattr(res, "paths") else res.fan)
+    return "cut " + repr(sorted(res.cut))
+
+
+def _golden_hosts():
+    rng = random.Random(0x3E17)
+    yield bioriented_clique(5).without_arcs([(0, 1), (2, 3)])
+    yield directed_cycle(6)
+    yield directed_path(5)
+    yield rand_digraph(rng, 8, 0.35)
+    yield rand_out_digraph(rng, 12, 3)
+    yield rand_out_digraph(rng, 16, 3)
+
+
+def _golden_answers():
+    """Every ordered pair on fixed hosts (paths for k = 1..3, a fan into
+    the pair's head and its successor), each host's arc connectivity,
+    then criterion-9-style seeded instances."""
+    for d in _golden_hosts():
+        yield f"host {d.n} {sorted(d.arcs())}"
+        yield f"kappa {strong_arc_connectivity(d)}"
+        for u, v in itertools.permutations(d.vertices(), 2):
+            for k in (1, 2, 3):
+                if not d.has_arc(u, v):
+                    yield _canonical(vertex_disjoint_paths(d, u, v, k))
+                yield _canonical(fan_to_set(d, u, {v, (v + 1) % d.n} - {u}, k))
+    rng = random.Random(0x60D)
+    for trial in range(2000):
+        n = rng.randrange(4, 16)
+        d = rand_digraph(rng, n, rng.uniform(0.1, 0.6))
+        if trial % 3 == 2:
+            v = rng.randrange(n)
+            targets = set(rng.sample([x for x in range(n) if x != v], rng.randrange(1, 4)))
+            yield _canonical(fan_to_set(d, v, targets, rng.randrange(1, 4)))
+        else:
+            u, v = rng.sample(range(n), 2)
+            if not d.has_arc(u, v):
+                yield _canonical(vertex_disjoint_paths(d, u, v, rng.randrange(1, 5)))
+        if trial % 10 == 0:
+            yield f"kappa {strong_arc_connectivity(d)}"

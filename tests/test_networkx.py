@@ -1,4 +1,4 @@
-"""Differential checks of the traversal layer against networkx.
+"""Differential checks of the traversal and flow layers against networkx.
 
 networkx is an optional test dependency; without it this module skips.
 """
@@ -8,6 +8,7 @@ import random
 import pytest
 
 from digraphsub.core import AdjView, INFINITE, bfs_levels, directed_girth, strong_components
+from digraphsub.menger import fan_to_set, strong_arc_connectivity, vertex_disjoint_paths
 
 from .conftest import rand_digraph
 
@@ -61,3 +62,46 @@ def test_directed_girth_against_simple_cycles():
     for _, d in _hosts(4, 200, 8):
         lengths = [len(c) for c in nx.simple_cycles(_nx_graph(d))]
         assert directed_girth(d) == (min(lengths) if lengths else INFINITE)
+
+
+def test_disjoint_paths_against_local_node_connectivity():
+    checked = 0
+    for rng, d in _hosts(5, 300, 10):
+        if d.n < 2:
+            continue
+        u, v = rng.sample(range(d.n), 2)
+        if d.has_arc(u, v):
+            continue
+        kappa = nx.algorithms.connectivity.local_node_connectivity(_nx_graph(d), u, v)
+        for k in (1, 2, 3):
+            res = vertex_disjoint_paths(d, u, v, k)
+            assert res.found == (kappa >= k)
+            if not res.found:
+                assert len(res.cut) == kappa
+        checked += 1
+    assert checked > 100
+
+
+def test_fan_against_connectivity_to_an_auxiliary_sink():
+    checked = 0
+    for rng, d in _hosts(6, 300, 10):
+        if d.n < 2:
+            continue
+        v = rng.randrange(d.n)
+        targets = set(rng.sample([x for x in range(d.n) if x != v], rng.randrange(1, min(4, d.n))))
+        g = _nx_graph(d)
+        g.add_edges_from((y, "sink") for y in targets)
+        kappa = nx.algorithms.connectivity.local_node_connectivity(g, v, "sink")
+        for k in (1, 2, 3):
+            res = fan_to_set(d, v, targets, k)
+            assert res.found == (kappa >= k)
+            if not res.found:
+                assert len(res.cut) == kappa
+        checked += 1
+    assert checked > 100
+
+
+def test_strong_arc_connectivity_against_edge_connectivity():
+    for _, d in _hosts(7, 200, 9):
+        if d.n >= 2:
+            assert strong_arc_connectivity(d) == nx.edge_connectivity(_nx_graph(d))
