@@ -1,9 +1,11 @@
+import hashlib
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from digraphsub import cab
+from digraphsub import cab, synthetic
 from digraphsub.cab import (
     embed_gadget_i_or_ii,
     embed_gadget_iii,
@@ -34,6 +36,14 @@ from digraphsub.synthetic import wired_cycle_host
 
 from .conftest import rand_digraph, rand_out_digraph
 
+GOLDEN_CAB = Path(__file__).parent / "data" / "cab_golden.sha256"
+STAGED_KINDS = (
+    "ring_of_cycle_gadgets",
+    "ring_of_dominating_gadgets",
+    "pendant_contraction_host",
+    "condition2_closure_host",
+    "cycle_walk_closure_host",
+)
 
 class TestLongDicycle:
     def test_digon(self):
@@ -433,3 +443,53 @@ class TestDispatchLadder:
         from digraphsub.core import build_digraph
 
         assert find_cab(build_digraph(5, []), 2, 1).reason == "no-seedable-arc"
+
+
+class TestGoldenAnswers:
+    def test_answers_match_recorded_hash(self):
+        # any change to the growth loop, a contraction or a lift that
+        # alters a certificate, a miss reason or its details changes it
+        digest = hashlib.sha256()
+        for line in _golden_answers():
+            digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == GOLDEN_CAB.read_text().strip()
+
+
+def _golden_outcome(d, a, b, budget) -> str:
+    try:
+        found = find_cab(d, a, b, budget=budget)
+    except BudgetExceeded as exc:
+        return f"budget {sorted(exc.details.items())}"
+    if isinstance(found, NotFound):
+        return f"miss {found.reason} {sorted(found.details.items())}"
+    return f"cert {sorted(found.branch.items())} {sorted(found.paths.items())}"
+
+
+def _golden_answers():
+    """The five staged hosts at m = 100 (a miss) and m = 192 (a
+    certificate), relabelled pendant hosts that certify through two
+    contractions or miss after them, wired hosts, then criterion-7-style
+    random hosts at budget 3000."""
+    for kind in STAGED_KINDS:
+        for m in (100, 192):
+            yield _golden_outcome(getattr(synthetic, kind)(m), 2, 1, 10**6)
+    base = synthetic.pendant_contraction_host(192)
+    n = base.n
+    relabels = [{0: 1, 1: 0}, {1: n - 1, n - 1: 1}, {n - 7: n - 1, n - 1: n - 7}, {50: n - 3, n - 3: 50}]
+    relabels.append({v: n - 1 - v for v in range(n)})
+    for relabel in relabels:
+        d = build_digraph(n, [(relabel.get(u, u), relabel.get(v, v)) for u, v in base.arcs()])
+        yield _golden_outcome(d, 2, 1, 10**6)
+    rng = random.Random(0xCAB6)
+    for a in (2, 3):
+        for b in (1, 2, 3):
+            for _ in range(4):
+                a1 = rng.randrange(1, a + 2)
+                host, _, _ = wired_cycle_host(rng, a1, a + 2 - a1, b)
+                yield _golden_outcome(host, a, b, 10**6)
+    for _ in range(300):
+        a, b = rng.choice((2, 2, 2, 3)), rng.choice((1, 1, 2))
+        n = rng.randrange(6, 40) if rng.random() < 0.8 else rng.randrange(40, 120)
+        d = rand_digraph(rng, n, rng.uniform(0.02, 0.4))
+        yield f"host {n} {a} {b} {d.m}"
+        yield _golden_outcome(d, a, b, 3000)

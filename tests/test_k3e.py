@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +14,13 @@ from digraphsub.core import (
 )
 from digraphsub.errors import PreconditionViolated
 from digraphsub.k3e import find_k3e
+from digraphsub.mader import enumerate_digraphs
 from digraphsub.oracle import contains_subdivision, validate_certificate
 
+from .conftest import rand_digraph, rand_out_digraph
+
 PATTERN = k3_minus_e()
+GOLDEN_K3E = Path(__file__).parent / "data" / "k3e_golden.sha256"
 
 
 def _check(d, v0=None):
@@ -150,3 +156,46 @@ class TestOracleAgreementN5:
             _check(d)
             assert contains_subdivision(d, PATTERN) is not None
             checked += 1
+
+
+class TestGoldenAnswers:
+    def test_certificates_match_recorded_hash(self):
+        # any change to a reduction, a lift or the fan order that alters
+        # a branch vertex or a path changes it
+        digest = hashlib.sha256()
+        for line in _golden_answers():
+            digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == GOLDEN_K3E.read_text().strip()
+
+
+def _canonical(cert) -> str:
+    return f"{sorted(cert.branch.items())} {sorted(cert.paths.items())}"
+
+
+def _golden_answers():
+    """Every 2-out host with n <= 4 (default v0, then each explicit v0),
+    every 7th host of shard 3 of 11 at n = 5, then seeded hosts on 6-30
+    vertices whose chosen v0 keeps a single out-arc every other time."""
+    for n in (3, 4):
+        for d in enumerate_digraphs(n, 2):
+            yield _canonical(find_k3e(d))
+            for v0 in d.vertices():
+                yield _canonical(find_k3e(d, v0))
+    for i, d in enumerate(enumerate_digraphs(5, 2, shard=3, shards=11)):
+        if i % 7 == 0:
+            yield _canonical(find_k3e(d))
+    rng = random.Random(0x3E3)
+    for trial in range(200):
+        n = rng.randrange(6, 31)
+        if trial % 3 == 0:
+            d = rand_digraph(rng, n, rng.uniform(0.2, 0.5))
+            if min_out_degree(d) < 2:
+                continue
+        else:
+            d = rand_out_digraph(rng, n, rng.choice((2, 2, 3)))
+        v0 = rng.randrange(n)
+        if trial % 2:
+            keep = rng.choice(d.out_nbrs(v0))
+            d = d.without_arcs([(v0, w) for w in d.out_nbrs(v0) if w != keep])
+        yield f"host {n} {v0} {sorted(d.arcs())}"
+        yield _canonical(find_k3e(d, v0))
