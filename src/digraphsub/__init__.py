@@ -11,7 +11,6 @@ validator checks independently.
 """
 
 from .cab import (
-    ContractionRecord,
     embed_gadget_i_or_ii,
     embed_gadget_iii,
     find_cab,
@@ -71,6 +70,7 @@ from .k3e import find_k3e
 from .mader import MaderReport, enumerate_digraphs, lower_witness, sample_digraph, verify_upper
 from .menger import FanOrCut, PathsOrCut, fan_to_set, strong_arc_connectivity, vertex_disjoint_paths
 from .oracle import (
+    ContractionRecord,
     SearchBudget,
     SubdivisionCertificate,
     ValidationReport,

@@ -19,8 +19,6 @@ against the pattern before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import (
@@ -43,6 +41,7 @@ from .errors import (
     DegeneratePattern,
     DigraphError,
     EndpointMismatch,
+    InvariantViolation,
     OverlapViolation,
     PreconditionUnverifiable,
     PropertyViolated,
@@ -58,7 +57,15 @@ from .gadgets import (
     close_chain,
     validate_gadget,
 )
-from .oracle import SearchBudget, SubdivisionCertificate, as_budget, validate_certificate
+from .oracle import (
+    ContractionRecord,
+    SearchBudget,
+    SubdivisionCertificate,
+    as_budget,
+    contract_arc,
+    lift_contraction,
+    validate_certificate,
+)
 from .outcome import NotFound
 from .two_block import find_two_block
 
@@ -164,11 +171,13 @@ def reduce_girth(d: Digraph, k: int, g: int, seed=None,
             len(kept_ids),
             [(index[int(u)], index[int(v)]) for u, v in zip(kt[keep_pair], kh[keep_pair])],
         )
-        assert min_out_degree(sub) >= k
+        if min_out_degree(sub) < k:
+            raise InvariantViolation("peeling left a vertex of out-degree below k")
         lv = {i: int(levels[v]) for v, i in index.items()}
-        assert all((lv[u] + 1) % g == lv[v] for u, v in sub.arcs()), "level invariant broken"
-        if sub.n * sub.m <= _GIRTH_CHECK_WORK:
-            assert directed_girth(sub) >= g
+        if not all((lv[u] + 1) % g == lv[v] for u, v in sub.arcs()):
+            raise InvariantViolation("level invariant broken")
+        if sub.n * sub.m <= _GIRTH_CHECK_WORK and directed_girth(sub) < g:
+            raise InvariantViolation("reduced graph has a cycle shorter than g")
         return sub, kept_ids
     raise RetriesExhausted(f"no qualifying subgraph in {max_retries} attempts")
 
@@ -411,7 +420,8 @@ def _lca(parent, depth, x: int, y: int) -> int:
 def _extract_merge_gadget(host, root, u, arms, parent, depth, tree, b, h, budget):
     arm_len = 2 * b - 1
     stalled = [arm for arm in arms if len(arm) - 1 < arm_len]
-    assert stalled, "extraction requires a stalled arm"
+    if not stalled:
+        raise InvariantViolation("extraction requires a stalled arm")
     for arm in stalled:
         w = arm[-1]
         for x in host.out_nbrs(w):
@@ -441,67 +451,21 @@ def _extract_merge_gadget(host, root, u, arms, parent, depth, tree, b, h, budget
 
 
 # ---------------------------------------------------------------------------
-# contraction records
+# contractions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ContractionRecord:
-    """Deleting x rerouted each of its in-neighbours to y."""
-
-    x: int
-    y: int
-    in_nbrs: tuple[int, ...]
-    out_nbrs: tuple[int, ...]
-
-
 def _contract(work: Digraph, arc: tuple[int, int]) -> tuple[Digraph, ContractionRecord]:
-    """Contract the arc (x, y): x's in-neighbours are rerouted to y and x
-    stays behind as an isolated id, so every other id keeps its meaning."""
+    """Contract the arc (x, y) into y: x's in-neighbours are rerouted to y
+    and x stays behind as an isolated id."""
     x, y = arc
     if work.has_arc(y, x):
         raise _Stuck("digon-at-contraction", {"arc": arc})
-    ins = work.in_nbrs(x)
-    outs = work.out_nbrs(x)
-    for z in ins:
+    for z in work.in_nbrs(x):
         if work.has_arc(z, y):
             # a common in-neighbour of x and y contradicts the property
             # failure that licensed this contraction
             raise _Stuck("contraction-collision", {"arc": arc, "vertex": z})
-    rest = work.without_arcs([(x, w) for w in outs] + [(z, x) for z in ins])
-    return rest.with_arcs((z, y) for z in ins), ContractionRecord(x=x, y=y, in_nbrs=ins, out_nbrs=outs)
-
-
-def _lift_certificate(cert: SubdivisionCertificate, records: list[ContractionRecord]) -> SubdivisionCertificate:
-    for rec in reversed(records):
-        cert = _lift_once(cert, rec)
-    return cert
-
-
-def _lift_once(cert: SubdivisionCertificate, rec: ContractionRecord) -> SubdivisionCertificate:
-    x, y = rec.x, rec.y
-    fake = {(z, y) for z in rec.in_nbrs}
-    hits = []
-    for key, p in cert.paths.items():
-        for i in range(len(p) - 1):
-            if (p[i], p[i + 1]) in fake:
-                hits.append((key, i))
-    if not hits:
-        return cert
-    paths = dict(cert.paths)
-    branch = dict(cert.branch)
-    if len(hits) == 1:
-        (key, i), = hits
-        p = paths[key]
-        paths[key] = p[: i + 1] + (x,) + p[i + 1 :]
-    else:
-        assert len(hits) == 2, "a branch vertex receives at most two arcs"
-        # y is a sink image: relocate the branch role onto x
-        assert all(p[-1] == y for p in (paths[k] for k, _ in hits)), "sink lift needs terminal hits"
-        for key, _ in hits:
-            paths[key] = paths[key][:-1] + (x,)
-        (sink_pattern,) = [pv for pv, hv in branch.items() if hv == y]
-        branch[sink_pattern] = x
-    return SubdivisionCertificate(branch=branch, paths=paths)
+    return contract_arc(work, x, y, keep=y)
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +514,12 @@ def find_cab(d: Digraph, a: int, b: int, budget: SearchBudget | int | None = Non
             return NotFound("degree-below-threshold", {"witness": pre.witness, "why": str(pre)})
         if found is None:
             return NotFound("no-seedable-arc", {"n": d.n - len(records), "m": work.m})
-        cert = _lift_certificate(found, records)
-        report = validate_certificate(d, pattern, cert)
-        assert report, f"lifted certificate invalid: {report.violation}"
-        return cert
+        for record in reversed(records):
+            found = lift_contraction(found, record)
+        report = validate_certificate(d, pattern, found)
+        if not report:
+            raise InvariantViolation(f"lifted certificate invalid: {report.violation}")
+        return found
 
 
 def _log(log, event: dict) -> None:
@@ -793,12 +759,14 @@ def _extend_with_fresh_gadget(chain: Chain, parent, u, gadget: Gadget, params: C
 
 
 def _extend_with_merge(chain: Chain, p0: Path, gadget: Gadget) -> Chain:
-    assert p0[0] == chain.spine[-1] and p0[-1] == gadget.p
+    if p0[0] != chain.spine[-1] or p0[-1] != gadget.p:
+        raise InvariantViolation("merge path does not join the chain's head to the gadget")
     new_spine = chain.spine + p0[1:] + (gadget.q,)
     new_gadgets = dict(chain.gadgets)
     new_gadgets[len(new_spine) - 2] = gadget
     trial = Chain(spine=new_spine, gadgets=new_gadgets)
-    assert len(set(trial.spine)) == len(trial.spine), "merge extension re-used a spine vertex"
+    if len(set(trial.spine)) != len(trial.spine):
+        raise InvariantViolation("merge extension re-used a spine vertex")
     return trial
 
 
@@ -833,7 +801,8 @@ def find_oriented_cycle_subdivision(d: Digraph, orientation: Digraph,
             return NotFound("longest-greedy-cycle-too-short", {"found": len(cycle), "needed": ell})
         arcs = set(zip(cycle, cycle[1:])) | {(cycle[-1], cycle[0])}
         cert = certificate_from_cycle(arcs, orientation, d)
-        assert cert is not None
+        if cert is None:
+            raise InvariantViolation("a long cycle must read off as the directed cycle pattern")
         return cert
 
     blocks = shape.blocks

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .core import Digraph, Path, bfs_levels
-from .errors import BudgetExceeded, ParseError
+from .errors import BudgetExceeded, InvariantViolation, ParseError
 from . import menger as _menger
 
 DEFAULT_BUDGET = 10**7
@@ -83,6 +83,74 @@ class SubdivisionCertificate:
         except (AttributeError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             raise ParseError(f"bad certificate JSON: {exc}") from exc
         return cls(branch=branch, paths=paths)
+
+
+@dataclass(frozen=True)
+class ContractionRecord:
+    """The arc (tail, head) was merged into its end ``keep``; ``tail_ins``
+    are the tail's in-neighbours other than the head."""
+
+    tail: int
+    head: int
+    keep: int
+    tail_ins: tuple[int, ...]
+
+
+def contract_arc(d: Digraph, tail: int, head: int, keep: int) -> tuple[Digraph, ContractionRecord]:
+    """Contract the arc (tail, head) into ``keep``, one of its ends.
+
+    The merged vertex gets the head's out-row minus the tail and the
+    in-neighbours of both ends; the other end stays behind isolated, so
+    every id keeps its meaning.  The ends must share no in-neighbour,
+    which would merge two arcs into one.
+    """
+    gone = head if keep == tail else tail
+    rows = list(map(d.out_nbrs, d.vertices()))
+    for z in d.in_nbrs(gone):
+        if z == keep:
+            continue
+        if keep in rows[z]:
+            raise InvariantViolation(f"{z} is an in-neighbour of both {tail} and {head}")
+        rows[z] = tuple(sorted(keep if w == gone else w for w in rows[z]))
+    rows[keep] = tuple(w for w in d.out_nbrs(head) if w != tail)
+    rows[gone] = ()
+    record = ContractionRecord(tail, head, keep, tuple(z for z in d.in_nbrs(tail) if z != head))
+    return Digraph(d.n, tuple(rows)), record
+
+
+def lift_contraction(cert: SubdivisionCertificate, rec: ContractionRecord) -> SubdivisionCertificate:
+    """A certificate on the contracted graph, lifted to the graph before.
+
+    When two or more arcs enter the merged vertex and all come from the
+    tail's in-neighbours, the tail takes over its role and the head is
+    spliced onto its out-arc.  Otherwise the head takes the role and the
+    tail is inserted on the (at most one) arc entering from a tail
+    in-neighbour.
+    """
+    m = rec.keep
+    if m not in cert.vertices():
+        return cert
+    entering = [p[p.index(m) - 1] for p in cert.paths.values() if m in p[1:]]
+    via_tail = sum(z in rec.tail_ins for z in entering)
+    if len(entering) >= 2 and via_tail == len(entering):
+        role, before, after = rec.tail, (), (rec.head,)
+    elif via_tail <= 1:
+        role, before, after = rec.head, (rec.tail,), ()
+    else:
+        raise InvariantViolation(f"{via_tail} of the {len(entering)} arcs into {m} come from the tail's in-neighbours")
+
+    def lift(p: Path) -> Path:
+        if m not in p:
+            return p
+        i = p.index(m)
+        pre = before if i > 0 and p[i - 1] in rec.tail_ins else ()
+        post = after if i < len(p) - 1 else ()
+        return p[:i] + pre + (role,) + post + p[i + 1:]
+
+    return SubdivisionCertificate(
+        branch={pv: role if hv == m else hv for pv, hv in cert.branch.items()},
+        paths={key: lift(p) for key, p in cert.paths.items()},
+    )
 
 
 @dataclass(frozen=True)

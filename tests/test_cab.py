@@ -1,10 +1,15 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import digraphsub
 from digraphsub import cab, synthetic
 from digraphsub.cab import (
     embed_gadget_i_or_ii,
@@ -30,7 +35,13 @@ from digraphsub.errors import (
     RetriesExhausted,
 )
 from digraphsub.gadgets import GadgetKind, validate_gadget
-from digraphsub.oracle import SearchBudget, validate_certificate
+from digraphsub.oracle import (
+    ContractionRecord,
+    SearchBudget,
+    SubdivisionCertificate,
+    lift_contraction,
+    validate_certificate,
+)
 from digraphsub.outcome import NotFound
 from digraphsub.synthetic import wired_cycle_host
 
@@ -336,28 +347,20 @@ class TestChainMachineEndToEnd:
 
 
 class TestContractionLifts:
-    def _record(self, x, y, ins, outs):
-        from digraphsub.cab import ContractionRecord
-
-        return ContractionRecord(x=x, y=y, in_nbrs=tuple(ins), out_nbrs=tuple(outs))
+    """The shared lift, with the head kept (as cab contracts) and with
+    the tail kept (as k3e contracts)."""
 
     def test_single_redirect_splice(self):
-        from digraphsub.cab import _lift_once
-        from digraphsub.oracle import SubdivisionCertificate
-
         cert = SubdivisionCertificate(
             branch={0: 5, 1: 8},
             paths={(0, 1): (5, 3, 8), (1, 0): (8, 5)},
         )
-        rec = self._record(x=9, y=8, ins=[3], outs=[8])
-        lifted = _lift_once(cert, rec)
+        rec = ContractionRecord(tail=9, head=8, keep=8, tail_ins=(3,))
+        lifted = lift_contraction(cert, rec)
         assert lifted.paths[(0, 1)] == (5, 3, 9, 8)
         assert lifted.paths[(1, 0)] == (8, 5)
 
     def test_double_redirect_relocates_branch(self):
-        from digraphsub.cab import _lift_once
-        from digraphsub.oracle import SubdivisionCertificate
-
         # y = 8 is a sink image receiving both redirected arcs
         cert = SubdivisionCertificate(
             branch={0: 1, 1: 2, 2: 8, 3: 6},
@@ -368,20 +371,71 @@ class TestContractionLifts:
                 (1, 3): (2, 6),
             },
         )
-        rec = self._record(x=9, y=8, ins=[3, 4], outs=[7])
-        lifted = _lift_once(cert, rec)
+        rec = ContractionRecord(tail=9, head=8, keep=8, tail_ins=(3, 4))
+        lifted = lift_contraction(cert, rec)
         assert lifted.branch[2] == 9
         assert lifted.paths[(0, 2)] == (1, 3, 9)
         assert lifted.paths[(1, 2)] == (2, 4, 9)
 
     def test_untouched_certificate_passes_through(self):
-        from digraphsub.cab import _lift_once
-        from digraphsub.oracle import SubdivisionCertificate
-
         cert = SubdivisionCertificate(branch={0: 1, 1: 2}, paths={(0, 1): (1, 2), (1, 0): (2, 1)})
-        rec = self._record(x=9, y=5, ins=[4], outs=[5])
-        assert _lift_once(cert, rec) == cert
+        rec = ContractionRecord(tail=9, head=5, keep=5, tail_ins=(4,))
+        assert lift_contraction(cert, rec) == cert
 
+    # K3-e on branch vertices 0, 1, 2 after the arc (0, 9) was merged
+    # into its tail 0; the merged vertex heads (0, 1) and receives the
+    # arcs from 1 and 2
+    K3E_CHILD = SubdivisionCertificate(
+        branch={0: 0, 1: 1, 2: 2},
+        paths={(0, 1): (0, 1), (1, 0): (1, 0), (1, 2): (1, 2), (2, 1): (2, 1), (2, 0): (2, 0)},
+    )
+
+    def test_kept_tail_all_in_arcs_real(self):
+        rec = ContractionRecord(tail=0, head=9, keep=0, tail_ins=(1, 2))
+        lifted = lift_contraction(self.K3E_CHILD, rec)
+        assert lifted.branch == self.K3E_CHILD.branch
+        assert lifted.paths == {**self.K3E_CHILD.paths, (0, 1): (0, 9, 1)}
+
+    def test_kept_tail_all_in_arcs_redirected(self):
+        rec = ContractionRecord(tail=0, head=9, keep=0, tail_ins=(5,))
+        lifted = lift_contraction(self.K3E_CHILD, rec)
+        assert lifted.branch == {0: 9, 1: 1, 2: 2}
+        assert lifted.paths == {**self.K3E_CHILD.paths, (0, 1): (9, 1), (1, 0): (1, 9), (2, 0): (2, 9)}
+
+    def test_kept_tail_mixed_in_arcs(self):
+        # the arc from 1 is real, the one from 2 was redirected: the head
+        # takes the branch role and the tail stays on the real in-path
+        rec = ContractionRecord(tail=0, head=9, keep=0, tail_ins=(1,))
+        lifted = lift_contraction(self.K3E_CHILD, rec)
+        assert lifted.branch == {0: 9, 1: 1, 2: 2}
+        assert lifted.paths == {**self.K3E_CHILD.paths, (0, 1): (9, 1), (1, 0): (1, 0, 9), (2, 0): (2, 9)}
+
+
+class TestSelfChecks:
+    def test_corrupt_lift_raises_under_optimize(self):
+        # the final validation is an explicit raise, so ``python -O``
+        # (which strips every assert) must still reject a certificate
+        # whose contractions were never lifted
+        script = textwrap.dedent(
+            """
+            from digraphsub import cab
+            from digraphsub.errors import InvariantViolation
+            from digraphsub.synthetic import pendant_contraction_host
+
+            assert not __debug__
+            cab.lift_contraction = lambda cert, record: cert
+            try:
+                cab.find_cab(pendant_contraction_host(192), 2, 1, budget=10**6)
+            except InvariantViolation as exc:
+                print("raised:", exc)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(digraphsub.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: lifted certificate invalid"), proc.stdout
 
 class TestStagedClosures:
     """Hosts that force each closure branch of the growth loop."""

@@ -1,10 +1,15 @@
 import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
+import digraphsub
 from digraphsub.core import (
     bioriented_clique,
     build_digraph,
@@ -89,6 +94,34 @@ class TestReductions:
         d = build_digraph(5, arcs)
         _check(d, v0=0)
 
+
+
+class TestSelfChecks:
+    def test_corrupt_lift_raises_under_optimize(self):
+        # the final validation is an explicit raise, so ``python -O``
+        # (which strips every assert) must still reject a certificate
+        # whose contraction was never lifted
+        script = textwrap.dedent(
+            """
+            from digraphsub import k3e
+            from digraphsub.core import build_digraph
+            from digraphsub.errors import InvariantViolation
+
+            assert not __debug__
+            k3e.lift_contraction = lambda cert, record: cert
+            arcs = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 3), (3, 1), (3, 2)]
+            try:
+                k3e.find_k3e(build_digraph(4, arcs))
+            except InvariantViolation as exc:
+                print("raised:", exc)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(digraphsub.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: lifted certificate invalid"), proc.stdout
 
 def _digraphs_with_min_out(n, k):
     rows = []
