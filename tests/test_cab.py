@@ -56,6 +56,7 @@ STAGED_KINDS = (
     "cycle_walk_closure_host",
 )
 
+
 class TestLongDicycle:
     def test_digon(self):
         cyc = long_dicycle(bioriented_clique(2))
@@ -436,6 +437,7 @@ class TestSelfChecks:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised: lifted certificate invalid"), proc.stdout
+
 
 class TestStagedClosures:
     """Hosts that force each closure branch of the growth loop."""

@@ -95,7 +95,6 @@ class TestReductions:
         _check(d, v0=0)
 
 
-
 class TestSelfChecks:
     def test_corrupt_lift_raises_under_optimize(self):
         # the final validation is an explicit raise, so ``python -O``
@@ -122,6 +121,7 @@ class TestSelfChecks:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised: lifted certificate invalid"), proc.stdout
+
 
 def _digraphs_with_min_out(n, k):
     rows = []
