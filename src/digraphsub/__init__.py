@@ -76,6 +76,7 @@ from .oracle import (
     ValidationReport,
     contains_subdivision,
     has_even_dicycle,
+    require_valid,
     validate_certificate,
 )
 from .outcome import NotFound

@@ -64,7 +64,7 @@ from .oracle import (
     as_budget,
     contract_arc,
     lift_contraction,
-    validate_certificate,
+    require_valid,
 )
 from .outcome import NotFound
 from .two_block import find_two_block
@@ -516,10 +516,7 @@ def find_cab(d: Digraph, a: int, b: int, budget: SearchBudget | int | None = Non
             return NotFound("no-seedable-arc", {"n": d.n - len(records), "m": work.m})
         for record in reversed(records):
             found = lift_contraction(found, record)
-        report = validate_certificate(d, pattern, found)
-        if not report:
-            raise InvariantViolation(f"lifted certificate invalid: {report.violation}")
-        return found
+        return require_valid(d, pattern, found, "lifted certificate")
 
 
 def _log(log, event: dict) -> None:

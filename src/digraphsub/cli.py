@@ -40,7 +40,7 @@ from .errors import BadParams, BudgetExceeded, DegeneratePattern, DigraphError, 
 from .k3e import find_k3e
 from .mader import CSV_HEADER, lower_witness, verify_upper
 from .menger import strong_arc_connectivity
-from .oracle import DEFAULT_BUDGET, SearchBudget, SubdivisionCertificate, validate_certificate
+from .oracle import DEFAULT_BUDGET, SearchBudget, SubdivisionCertificate, require_valid, validate_certificate
 from .outcome import NotFound
 from .two_block import find_two_block
 
@@ -51,34 +51,36 @@ EXIT_PARSE = 3
 EXIT_USAGE = 4
 
 
+def _split_spec(spec: str) -> tuple[str, list[int]]:
+    """A pattern spec's name and its integer arguments."""
+    name, _, args = spec.partition(":")
+    try:
+        return name, [int(x) for x in args.split(",")] if args else []
+    except ValueError as exc:
+        raise BadParams(f"bad pattern arguments in {spec!r}") from exc
+
+
 def parse_pattern(spec: str) -> Digraph:
     """Pattern mini-language: ``cab:2,3``, ``twoblock:3,2``, ``k3e``,
     ``dicycle:5``, ``bivec-clique:4``, ``bivec-star:3``, ``bivec-path:4``,
     ``transitive:4``."""
-    name, _, args = spec.partition(":")
-    try:
-        nums = [int(x) for x in args.split(",")] if args else []
-    except ValueError as exc:
-        raise BadParams(f"bad pattern arguments in {spec!r}") from exc
-    try:
-        if name == "cab" and len(nums) == 2:
-            return pattern_cab(*nums)
-        if name == "twoblock" and len(nums) == 2:
-            return pattern_two_block(*nums)
-        if name == "k3e" and not nums:
-            return k3_minus_e()
-        if name == "dicycle" and len(nums) == 1:
-            return directed_cycle(nums[0])
-        if name == "bivec-clique" and len(nums) == 1:
-            return bioriented_clique(nums[0])
-        if name == "bivec-star" and len(nums) == 1:
-            return bioriented_star(nums[0])
-        if name == "bivec-path" and len(nums) == 1:
-            return bioriented_path(nums[0])
-        if name == "transitive" and len(nums) == 1:
-            return transitive_tournament(nums[0])
-    except DegeneratePattern:
-        raise
+    name, nums = _split_spec(spec)
+    if name == "cab" and len(nums) == 2:
+        return pattern_cab(*nums)
+    if name == "twoblock" and len(nums) == 2:
+        return pattern_two_block(*nums)
+    if name == "k3e" and not nums:
+        return k3_minus_e()
+    if name == "dicycle" and len(nums) == 1:
+        return directed_cycle(nums[0])
+    if name == "bivec-clique" and len(nums) == 1:
+        return bioriented_clique(nums[0])
+    if name == "bivec-star" and len(nums) == 1:
+        return bioriented_star(nums[0])
+    if name == "bivec-path" and len(nums) == 1:
+        return bioriented_path(nums[0])
+    if name == "transitive" and len(nums) == 1:
+        return transitive_tournament(nums[0])
     raise BadParams(f"unknown pattern spec {spec!r}")
 
 
@@ -92,20 +94,17 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _dispatch_find(d: Digraph, spec: str, budget: int, seed, log: list):
-    name, _, args = spec.partition(":")
+    pattern = parse_pattern(spec)
+    name, nums = _split_spec(spec)
     if name == "cab":
-        a, b = (int(x) for x in args.split(","))
-        return find_cab(d, a, b, SearchBudget(budget), log=log), pattern_cab(a, b)
+        return find_cab(d, *nums, SearchBudget(budget), log=log), pattern
     if name == "twoblock":
-        k1, k2 = (int(x) for x in args.split(","))
-        return find_two_block(d, k1, k2, SearchBudget(budget)), pattern_two_block(k1, k2)
+        return find_two_block(d, *nums, SearchBudget(budget)), pattern
     if name == "k3e":
-        pattern = k3_minus_e()
         try:
             return find_k3e(d), pattern
         except DigraphError as exc:
             return NotFound("precondition", {"why": str(exc)}), pattern
-    pattern = parse_pattern(spec)
     return (
         find_oriented_cycle_subdivision(d, pattern, SearchBudget(budget), seed=seed, log=log),
         pattern,
@@ -132,8 +131,7 @@ def cmd_find(args) -> int:
     if isinstance(found, NotFound):
         print(f"not found: {found.reason} {json.dumps(found.details, default=str)}")
         return EXIT_NOT_FOUND
-    report = validate_certificate(d, pattern, found)
-    assert report, f"finder returned an invalid certificate: {report.violation}"
+    require_valid(d, pattern, found, "finder certificate")
     _write(args.out, found.to_json() + "\n")
     print(f"found: {len(found.branch)} branch vertices, {len(found.paths)} paths"
           + (f" -> {args.out}" if args.out else ""))
@@ -170,7 +168,7 @@ def cmd_verify(args) -> int:
             except DigraphError:
                 return None
     elif args.pattern.startswith("twoblock:"):
-        k1, k2 = (int(x) for x in args.pattern.split(":")[1].split(","))
+        _, (k1, k2) = _split_spec(args.pattern)
 
         def finder(d):
             out = find_two_block(d, k1, k2, SearchBudget(args.budget))

@@ -122,18 +122,6 @@ class Digraph:
         )
         return Digraph(self.n, rows)
 
-    def induced(self, keep: Iterable[int]) -> tuple["Digraph", list[int]]:
-        """Subgraph induced on ``keep``; returns it with the old-id list.
-
-        Vertex ``i`` of the subgraph corresponds to ``old_ids[i]``.
-        """
-        old_ids = sorted(set(keep))
-        index = {v: i for i, v in enumerate(old_ids)}
-        rows = tuple(
-            tuple(index[w] for w in self._out[v] if w in index) for v in old_ids
-        )
-        return Digraph(len(old_ids), rows), old_ids
-
 
 def _check_arc(n: int, u: int, v: int) -> None:
     if not (0 <= u < n and 0 <= v < n):

@@ -200,13 +200,11 @@ def certificate_from_cycle(host_arcs, pattern: Digraph, host: Digraph) -> Subdiv
 
 
 def _dicycle_certificate(host_cycle: Path, pat_cycle: Path, pattern: Digraph, host: Digraph) -> SubdivisionCertificate | None:
-    ell = len(pat_cycle)
-    if len(host_cycle) < ell:
-        return None
-    branch = {pat_cycle[i]: host_cycle[i] for i in range(ell)}
+    """The pattern cycle laid from the host cycle's first vertex; its
+    closing arc absorbs the host cycle's surplus."""
+    branch: dict[int, int] = {}
     paths: dict[Arc, Path] = {}
-    for i in range(ell - 1):
-        paths[(pat_cycle[i], pat_cycle[i + 1])] = (host_cycle[i], host_cycle[i + 1])
-    paths[(pat_cycle[-1], pat_cycle[0])] = tuple(host_cycle[ell - 1 :]) + (host_cycle[0],)
+    if not lay_path(pat_cycle + pat_cycle[:1], host_cycle + host_cycle[:1], branch, paths):
+        return None
     cert = SubdivisionCertificate(branch=branch, paths=paths)
     return cert if validate_certificate(host, pattern, cert) else None

@@ -70,10 +70,6 @@ class BudgetExceeded(DigraphError):
         self.details = details or {}
 
 
-class DepthBudgetExceeded(DigraphError):
-    """Recursion guard tripped; indicates a bug rather than bad input."""
-
-
 # ---- gadget / chain machinery ----------------------------------------------
 
 class WrongKind(DigraphError):

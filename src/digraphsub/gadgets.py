@@ -31,10 +31,11 @@ from .errors import (
     DegeneratePattern,
     Disjoint,
     EndpointMismatch,
+    InvariantViolation,
     OverlapViolation,
     WrongKind,
 )
-from .oracle import SubdivisionCertificate, ValidationReport, validate_certificate
+from .oracle import SubdivisionCertificate, ValidationReport, require_valid
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +82,9 @@ class CabParams:
         return (4 * self.g + 3) * (2 * self.b - 1)
 
     @property
-    def closure_a2(self) -> int:
-        """Gadget-carrying arcs needed before the chain can be closed."""
-        return (self.a + 3) * (self.b + 1) - 2
-
-    @property
     def tail_window(self) -> int:
         """Spine length of the chain tail kept hot for closures."""
         return self.a2_gap * (self.a + 3) * (self.b + 1)
-
-    @property
-    def basic_p1_len(self) -> int:
-        return 2 * self.b**2 + self.b - 2
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +625,8 @@ def _extend_last(path: AlternatingPath, tail: Path, b: int) -> AlternatingPath:
     """Append a dipath to the final piece of an alternating path."""
     if len(tail) == 1:
         return path
-    assert path.t[-1] == tail[0]
+    if path.t[-1] != tail[0]:
+        raise InvariantViolation("the appended dipath does not start at the path's end")
     return make_alt_path(
         s=path.s,
         t=path.t[:-1] + (tail[-1],),
@@ -740,7 +733,8 @@ def _intersection_with_merge(g: Gadget, gstar: Gadget, inter, b: int) -> Alterna
             current.append(v)
     components.append(tuple(current))
     best = max(components, key=len)
-    assert len(best) - 1 >= b, "averaging bound failed; gadget invariants violated"
+    if len(best) - 1 < b:
+        raise InvariantViolation("averaging bound failed; gadget invariants violated")
     u, v_last = best[0], best[-1]
     ret = best if v_last == gstar.p else best + (gstar.q,)
     spoke, i = spoke_of[u]
@@ -819,16 +813,14 @@ def close_chain(host, chain: Chain, closure, a: int, b: int) -> SubdivisionCerti
         qp_paths=rstar.qp_paths,
         b=b,
     )
-    assert r1.strong, "extended closure path must be strong"
+    if not r1.strong:
+        raise InvariantViolation("extended closure path must be strong")
 
     a2_count = a + 2 - rstar.a
     sub = chain.subchain(b + 1, ell - b)
     r2 = chain_alt_path(sub, a2_count, b)
 
-    cert = join_alt_paths(r1, r2, b)
-    report = validate_certificate(host, pattern_cab(a, b), cert)
-    assert report, f"closure produced an invalid certificate: {report.violation}"
-    return cert
+    return require_valid(host, pattern_cab(a, b), join_alt_paths(r1, r2, b), "closure certificate")
 
 
 def _closure_alt_path(host, chain: Chain, closure, first: Gadget, b: int) -> AlternatingPath:

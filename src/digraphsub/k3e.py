@@ -2,23 +2,24 @@
 
 Any digraph with one vertex of out-degree at least 1 and all others of
 out-degree at least 2 contains one.  The search runs the underlying
-argument as a recursion with explicit reduction steps: trim to exact
+argument as one loop of explicit reduction steps: trim to exact
 out-degrees, descend into a terminal strong component, cut along a
 one-vertex separator (re-entering through a bridging dipath), or
-contract the special vertex's out-arc; the base case reads the
-certificate off a two-path fan.  Every step returns a plain ``Digraph``
-on the input's own ids: a vertex a step removes stays behind isolated,
-so the live vertices are those with out-arcs.  Every reduction records
-enough data to lift a child certificate back to its parent graph, and
-the lift chain is replayed before returning.
+contract the special vertex's out-arc; the loop ends when a two-path
+fan yields the certificate.  Every step works on a plain ``Digraph`` on
+the input's own ids: a vertex a step removes stays behind isolated, so
+the live vertices are those with out-arcs, and every step leaves fewer
+of them.  Separator and contraction steps push the data that lifts a
+certificate back across them, and the stack is replayed in reverse
+before returning.
 """
 
 from __future__ import annotations
 
 from .core import Digraph, Path, bfs_levels, bfs_path, k3_minus_e, strong_components
-from .errors import DepthBudgetExceeded, InvariantViolation, PreconditionViolated
+from .errors import InvariantViolation, PreconditionViolated
 from .menger import fan_to_set
-from .oracle import SubdivisionCertificate, contract_arc, lift_contraction, validate_certificate
+from .oracle import SubdivisionCertificate, contract_arc, lift_contraction, require_valid
 
 _PATTERN = k3_minus_e()
 
@@ -43,50 +44,55 @@ def find_k3e(d: Digraph, v0: int | None = None,
         if v != v0 and d.out_degree(v) < 2:
             raise PreconditionViolated(v)
 
-    cert = _solve(d, v0, 2 * d.n + 16, trace)
-    report = validate_certificate(d, _PATTERN, cert)
-    if not report:
-        raise InvariantViolation(f"lifted certificate invalid: {report.violation}")
-    return cert
+    # each pass either ends at the fan or removes at least one live
+    # vertex, so the loop ends within d.n passes
+    host, lifts = d, []
+    for _ in range(host.n):
+        d = _trim(d, v0)
+        comps = [comp for comp in strong_components(d) if d.out_nbrs(comp[0])]
+        if len(comps) > 1:
+            term = _terminal_component(d, comps)
+            d = Digraph(d.n, tuple(d.out_nbrs(v) if v in term else () for v in d.vertices()))
+            v0 = v0 if v0 in term else min(term)
+            _note(trace, {"step": "terminal-component", "size": len(term), "v0": v0})
+            continue
+
+        (v1,) = d.out_nbrs(v0)
+        common = sorted(set(d.in_nbrs(v0)) & set(d.in_nbrs(v1)))
+        if common:
+            z0 = common[0]
+            res = fan_to_set(d, v1, {v0, z0}, 2)
+            if res.found:
+                _note(trace, {"step": "fan", "v0": v0, "v1": v1, "z0": z0})
+                cert = _fan_certificate(v0, v1, z0, res.fan)
+                break
+            d, v0, bridge = _separate(d, v0, v1, z0, res.cut, trace)
+            lifts.append((_lift_partition, bridge))
+            continue
+
+        # contract: v0 and v1 share no in-neighbour, so merging v1 into v0
+        # keeps every out-degree intact; the merged row is v1's, and the
+        # next trim keeps its lowest entry v2
+        v2 = next(w for w in d.out_nbrs(v1) if w != v0)
+        redirected = [x for x in d.in_nbrs(v1) if x != v0]
+        d, record = contract_arc(d, v0, v1, keep=v0)
+        _note(trace, {"step": "contract", "v0": v0, "v1": v1, "v2": v2, "redirected": redirected})
+        lifts.append((lift_contraction, record))
+    else:
+        raise InvariantViolation(f"reductions ran past {host.n} steps")
+
+    for lift, data in reversed(lifts):
+        cert = lift(cert, data)
+    return require_valid(host, _PATTERN, cert, "lifted certificate")
 
 
 # ---------------------------------------------------------------------------
-# the recursion
+# the reduction steps
 # ---------------------------------------------------------------------------
 
 def _trim(d: Digraph, v0: int) -> Digraph:
     """Every row cut to its lowest entries: one for v0, two elsewhere."""
     return Digraph(d.n, tuple(d.out_nbrs(v)[: 1 if v == v0 else 2] for v in d.vertices()))
-
-
-def _solve(d: Digraph, v0: int, depth: int, trace: list | None = None) -> SubdivisionCertificate:
-    if depth <= 0:
-        raise DepthBudgetExceeded("reduction chain exceeded its bound")
-    d = _trim(d, v0)
-
-    comps = [comp for comp in strong_components(d) if d.out_nbrs(comp[0])]
-    if len(comps) > 1:
-        term = _terminal_component(d, comps)
-        sub = Digraph(d.n, tuple(d.out_nbrs(v) if v in term else () for v in d.vertices()))
-        new_v0 = v0 if v0 in term else min(term)
-        _note(trace, {"step": "terminal-component", "size": len(term), "v0": new_v0})
-        return _solve(sub, new_v0, depth - 1, trace)
-
-    (v1,) = d.out_nbrs(v0)
-    common = sorted(set(d.in_nbrs(v0)) & set(d.in_nbrs(v1)))
-
-    if common:
-        return _case_fan(d, v0, v1, common[0], depth, trace)
-
-    # contract: v0 and v1 share no in-neighbour, so merging v1 into v0
-    # keeps every out-degree intact; the merged row is v1's, and the
-    # child's trim keeps its lowest entry v2
-    v2 = next(w for w in d.out_nbrs(v1) if w != v0)
-    redirected = [x for x in d.in_nbrs(v1) if x != v0]
-    child, record = contract_arc(d, v0, v1, keep=v0)
-    _note(trace, {"step": "contract", "v0": v0, "v1": v1, "v2": v2, "redirected": redirected})
-    cert = _solve(child, v0, depth - 1, trace)
-    return lift_contraction(cert, record)
 
 
 def _note(trace: list | None, event: dict) -> None:
@@ -103,27 +109,31 @@ def _terminal_component(d: Digraph, comps: list[list[int]]) -> set[int]:
     raise InvariantViolation("no terminal strong component")
 
 
-def _case_fan(d: Digraph, v0: int, v1: int, z0: int, depth: int, trace: list | None = None) -> SubdivisionCertificate:
-    res = fan_to_set(d, v1, {v0, z0}, 2)
+def _fan_certificate(v0: int, v1: int, z0: int, fan) -> SubdivisionCertificate:
+    """The base case: z0 sends arcs to v0 and v1, v0's arc enters v1, and
+    the fan leads from v1 back to v0 and to z0."""
+    to_v0 = next(p for p in fan if p[-1] == v0)
+    to_z0 = next(p for p in fan if p[-1] == z0)
+    return SubdivisionCertificate(
+        branch={0: v0, 1: v1, 2: z0},
+        paths={
+            (0, 1): (v0, v1),
+            (1, 0): to_v0,
+            (1, 2): to_z0,
+            (2, 1): (z0, v1),
+            (2, 0): (z0, v0),
+        },
+    )
 
-    if res.found:
-        _note(trace, {"step": "fan", "v0": v0, "v1": v1, "z0": z0})
-        to_v0 = next(p for p in res.fan if p[-1] == v0)
-        to_z0 = next(p for p in res.fan if p[-1] == z0)
-        return SubdivisionCertificate(
-            branch={0: v0, 1: v1, 2: z0},
-            paths={
-                (0, 1): (v0, v1),
-                (1, 0): to_v0,
-                (1, 2): to_z0,
-                (2, 1): (z0, v1),
-                (2, 0): (z0, v0),
-            },
-        )
 
-    if len(res.cut) != 1:
+def _separate(d: Digraph, v0: int, v1: int, z0: int, cut,
+              trace: list | None) -> tuple[Digraph, int, Path]:
+    """The side of the one-vertex cut that v1 reaches, entered from the
+    separator s0 by a stand-in arc for a bridging dipath; returns that
+    graph, s0 and the bridge."""
+    if len(cut) != 1:
         raise InvariantViolation("a strong graph cannot have an empty fan cut")
-    (s0,) = res.cut
+    (s0,) = cut
     w_side = set(bfs_levels(d, v1, avoid={s0})[0])
     if v0 in w_side or z0 in w_side:
         raise InvariantViolation("the separator does not cut v1 off from v0 and z0")
@@ -136,8 +146,7 @@ def _case_fan(d: Digraph, v0: int, v1: int, z0: int, depth: int, trace: list | N
         rows[v] = tuple(x for x in d.out_nbrs(v) if x in w_side or x == s0)
     rows[s0] = tuple(sorted({x for x in d.out_nbrs(s0) if x in w_side} | {bridge[-1]}))
     _note(trace, {"step": "partition", "s0": s0, "kept": len(w_side), "bridge": list(bridge)})
-    cert = _solve(Digraph(d.n, tuple(rows)), s0, depth - 1, trace)
-    return _lift_partition(cert, bridge)
+    return Digraph(d.n, tuple(rows)), s0, bridge
 
 
 def _lift_partition(cert: SubdivisionCertificate, bridge: Path) -> SubdivisionCertificate:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from .core import Digraph, bioriented_clique, build_digraph
-from .errors import BudgetExceeded, TooLarge
-from .oracle import DEFAULT_BUDGET, SearchBudget, contains_subdivision, validate_certificate
+from .errors import BudgetExceeded, InvariantViolation, TooLarge
+from .oracle import DEFAULT_BUDGET, SearchBudget, contains_subdivision, require_valid
 
 EXHAUSTIVE_LIMIT = 5
 
@@ -164,7 +164,7 @@ def verify_upper(
         if finder is not None:
             found = finder(d)
             if found:
-                assert validate_certificate(d, pattern, found), "finder returned an invalid certificate"
+                require_valid(d, pattern, found, "finder certificate")
                 return True
         try:
             cert = contains_subdivision(d, pattern, SearchBudget(budget))
@@ -225,5 +225,6 @@ def lower_witness(pattern: Digraph, budget: int = DEFAULT_BUDGET) -> tuple[Digra
         confirmed = contains_subdivision(witness, pattern, SearchBudget(budget)) is None
     except BudgetExceeded:
         return witness, False
-    assert confirmed, "a smaller clique cannot host the pattern"
+    if not confirmed:
+        raise InvariantViolation("a smaller clique hosts the pattern")
     return witness, True

@@ -204,6 +204,17 @@ def validate_certificate(host: Digraph, pattern: Digraph, cert: SubdivisionCerti
         return ValidationReport(False, f"malformed certificate: {exc}")
 
 
+def require_valid(host: Digraph, pattern: Digraph, cert: SubdivisionCertificate,
+                  what: str) -> SubdivisionCertificate:
+    """The gate every finder's answer passes: ``cert`` itself when it is
+    valid, else ``InvariantViolation`` naming ``what`` and the first
+    violation."""
+    report = validate_certificate(host, pattern, cert)
+    if not report:
+        raise InvariantViolation(f"{what} invalid: {report.violation}")
+    return cert
+
+
 # ---------------------------------------------------------------------------
 # automorphisms and symmetry pruning
 # ---------------------------------------------------------------------------
@@ -469,29 +480,30 @@ def has_even_dicycle(d: Digraph, budget: SearchBudget | int | None = None) -> bo
         if d.has_arc(v, u):
             return True
 
-    for root in d.vertices():
-        stack = [root]
-        on_path = {root}
-        found = _even_cycle_dfs(d, root, stack, on_path, budget)
-        if found:
-            return True
-    return False
+    return any(_even_cycle_dfs(d, root, budget) for root in d.vertices())
 
 
-def _even_cycle_dfs(d: Digraph, root: int, stack: list[int], on_path: set[int], budget: SearchBudget) -> bool:
-    u = stack[-1]
-    for v in d.out_nbrs(u):
-        budget.charge(1, phase="even-cycle", root=root)
-        if v == root:
-            if len(stack) % 2 == 0:
-                return True
-            continue
-        if v < root or v in on_path:
-            continue
-        stack.append(v)
-        on_path.add(v)
-        if _even_cycle_dfs(d, root, stack, on_path, budget):
-            return True
-        stack.pop()
-        on_path.discard(v)
+def _even_cycle_dfs(d: Digraph, root: int, budget: SearchBudget) -> bool:
+    """Depth-first walk over the simple paths from ``root`` through larger
+    vertices, one out-row iterator per path vertex; True when one of them
+    closes an even cycle at ``root``."""
+    path = [root]
+    on_path = {root}
+    rows = [iter(d.out_nbrs(root))]
+    while rows:
+        for v in rows[-1]:
+            budget.charge(1, phase="even-cycle", root=root)
+            if v == root:
+                if len(path) % 2 == 0:
+                    return True
+                continue
+            if v < root or v in on_path:
+                continue
+            path.append(v)
+            on_path.add(v)
+            rows.append(iter(d.out_nbrs(v)))
+            break
+        else:
+            rows.pop()
+            on_path.discard(path.pop())
     return False

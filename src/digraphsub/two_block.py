@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from .core import Digraph, Path, bfs_levels, bfs_path, greedy_maximal_path, path_to, pattern_two_block
 from .cycle_embed import lay_path
-from .errors import BadParams, StuckGreedy
-from .oracle import SearchBudget, SubdivisionCertificate, as_budget, validate_certificate
+from .errors import BadParams, InvariantViolation, StuckGreedy
+from .oracle import SearchBudget, SubdivisionCertificate, as_budget, require_valid
 from .outcome import NotFound
 
 
@@ -45,18 +45,15 @@ def fork(d, v: int, l1: int, l2: int, forbidden=()) -> tuple[Path, Path]:
 
 
 def _certificate(route1: Path, route2: Path, k1: int, k2: int, host) -> SubdivisionCertificate:
-    pattern = pattern_two_block(k1, k2)
     chains = []
     for length, first_interior in ((k1, 2), (k2, k1 + 1)):
         chains.append((0, *range(first_interior, first_interior + length - 1), 1))
     branch: dict[int, int] = {}
     paths: dict[tuple[int, int], Path] = {}
-    ok = lay_path(chains[0], route1, branch, paths) and lay_path(chains[1], route2, branch, paths)
-    assert ok, "routes shorter than the pattern blocks"
+    if not (lay_path(chains[0], route1, branch, paths) and lay_path(chains[1], route2, branch, paths)):
+        raise InvariantViolation("routes shorter than the pattern blocks")
     cert = SubdivisionCertificate(branch=branch, paths=paths)
-    report = validate_certificate(host, pattern, cert)
-    assert report, f"two-block certificate invalid: {report.violation}"
-    return cert
+    return require_valid(host, pattern_two_block(k1, k2), cert, "two-block certificate")
 
 
 def _find_short_block(d: Digraph, k1: int) -> SubdivisionCertificate | NotFound:
@@ -86,9 +83,12 @@ class _GoodPathState:
         self.p1 = p1
         self.p2 = p2
         x = p0[-1]
-        assert p1[0] == x and p2[0] == x
-        assert set(p1) & set(p2) == {x}
-        assert set(p1) & set(p0) == {x} and set(p2) & set(p0) == {x}
+        if p1[0] != x or p2[0] != x:
+            raise InvariantViolation("a fork does not start at the good path's end")
+        if set(p1) & set(p2) != {x}:
+            raise InvariantViolation("the two forks meet beyond their start")
+        if set(p1) & set(p0) != {x} or set(p2) & set(p0) != {x}:
+            raise InvariantViolation("a fork meets the good path beyond its end")
 
     @property
     def x(self) -> int:
@@ -121,7 +121,7 @@ def find_two_block(d: Digraph, k1: int, k2: int, budget: SearchBudget | int | No
     while True:
         rounds += 1
         if rounds > d.n + 2:
-            raise AssertionError("good path stopped growing")
+            raise InvariantViolation("good path stopped growing")
         budget.charge(1, phase="round", length=len(state.p0))
         outcome = _round(d, state, k1, k2, budget)
         if isinstance(outcome, SubdivisionCertificate):
@@ -132,7 +132,8 @@ def find_two_block(d: Digraph, k1: int, k2: int, budget: SearchBudget | int | No
             if log is not None:
                 log.append({"event": "stuck", "reason": outcome.reason, "rounds": rounds})
             return outcome
-        assert len(outcome.p0) > len(state.p0), "round must lengthen the good path"
+        if len(outcome.p0) <= len(state.p0):
+            raise InvariantViolation("round must lengthen the good path")
         if log is not None:
             log.append({"event": "extend", "path_len": len(outcome.p0) - 1})
         state = outcome
@@ -215,7 +216,8 @@ def _endgame(d, state, k1, k2, budget, parent_a, found_a):
 
     if len(bstars) >= k1 - r + 1:
         ib = max(bstars)
-        assert ib - ia >= k1 - r, "attachment spread below the pigeonhole bound"
+        if ib - ia < k1 - r:
+            raise InvariantViolation("attachment spread below the pigeonhole bound")
         p_bstar = path_to(parent_b, b, bstars[ib]) + (p0[ib],)
         route1 = q + p0[ia + 1 : ib + 1]
         route2 = p2 + p_bstar[1:]

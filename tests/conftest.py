@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import digraphsub
 from digraphsub.core import Digraph, build_digraph
 
 
@@ -26,3 +32,13 @@ def rand_out_digraph(rng: random.Random, n: int, k: int) -> Digraph:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xD1F)
+
+
+def run_script(script: str, *flags: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter (with ``flags``, e.g. ``-O``)
+    that imports this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(digraphsub.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, *flags, "-c", textwrap.dedent(script)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )

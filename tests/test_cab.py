@@ -1,15 +1,10 @@
 import hashlib
 import math
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from pathlib import Path
 
 import pytest
 
-import digraphsub
 from digraphsub import cab, synthetic
 from digraphsub.cab import (
     embed_gadget_i_or_ii,
@@ -45,7 +40,7 @@ from digraphsub.oracle import (
 from digraphsub.outcome import NotFound
 from digraphsub.synthetic import wired_cycle_host
 
-from .conftest import rand_digraph, rand_out_digraph
+from .conftest import rand_digraph, rand_out_digraph, run_script
 
 GOLDEN_CAB = Path(__file__).parent / "data" / "cab_golden.sha256"
 STAGED_KINDS = (
@@ -417,8 +412,7 @@ class TestSelfChecks:
         # the final validation is an explicit raise, so ``python -O``
         # (which strips every assert) must still reject a certificate
         # whose contractions were never lifted
-        script = textwrap.dedent(
-            """
+        script = """
             from digraphsub import cab
             from digraphsub.errors import InvariantViolation
             from digraphsub.synthetic import pendant_contraction_host
@@ -429,12 +423,8 @@ class TestSelfChecks:
                 cab.find_cab(pendant_contraction_host(192), 2, 1, budget=10**6)
             except InvariantViolation as exc:
                 print("raised:", exc)
-            """
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(digraphsub.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
+        """
+        proc = run_script(script, "-O")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised: lifted certificate invalid"), proc.stdout
 

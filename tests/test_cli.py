@@ -67,6 +67,11 @@ class TestFind:
         code = main(["find", "--pattern", "twoblock:3,2", "--in", bivec_k4_file])
         assert code == 1
 
+    @pytest.mark.parametrize("spec", ["cab:2", "cab:x", "twoblock:3"])
+    def test_malformed_spec_exit_4(self, spec, bivec_k4_file, capsys):
+        assert main(["find", "--pattern", spec, "--in", bivec_k4_file]) == 4
+        assert "pattern" in capsys.readouterr().err
+
     def test_malformed_file_exit_3(self, tmp_path):
         bad = tmp_path / "bad.edges"
         bad.write_text("this is not a graph\n")

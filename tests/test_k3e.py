@@ -1,15 +1,10 @@
 import hashlib
 import itertools
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from pathlib import Path
 
 import pytest
 
-import digraphsub
 from digraphsub.core import (
     bioriented_clique,
     build_digraph,
@@ -17,12 +12,13 @@ from digraphsub.core import (
     k3_minus_e,
     min_out_degree,
 )
-from digraphsub.errors import PreconditionViolated
+from digraphsub import k3e
+from digraphsub.errors import InvariantViolation, PreconditionViolated
 from digraphsub.k3e import find_k3e
 from digraphsub.mader import enumerate_digraphs
 from digraphsub.oracle import contains_subdivision, validate_certificate
 
-from .conftest import rand_digraph, rand_out_digraph
+from .conftest import rand_digraph, rand_out_digraph, run_script
 
 PATTERN = k3_minus_e()
 GOLDEN_K3E = Path(__file__).parent / "data" / "k3e_golden.sha256"
@@ -100,8 +96,7 @@ class TestSelfChecks:
         # the final validation is an explicit raise, so ``python -O``
         # (which strips every assert) must still reject a certificate
         # whose contraction was never lifted
-        script = textwrap.dedent(
-            """
+        script = """
             from digraphsub import k3e
             from digraphsub.core import build_digraph
             from digraphsub.errors import InvariantViolation
@@ -113,14 +108,49 @@ class TestSelfChecks:
                 k3e.find_k3e(build_digraph(4, arcs))
             except InvariantViolation as exc:
                 print("raised:", exc)
-            """
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(digraphsub.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
+        """
+        proc = run_script(script, "-O")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("raised: lifted certificate invalid"), proc.stdout
+
+    def test_step_that_removes_nothing_is_caught(self, monkeypatch):
+        # every step must leave fewer live vertices; a contraction that
+        # changes nothing repeats forever unless the loop's bound stops it
+        monkeypatch.setattr(k3e, "contract_arc", lambda d, tail, head, keep: (d, None))
+        d = build_digraph(5, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 2), (3, 4), (4, 0), (4, 2)])
+        with pytest.raises(InvariantViolation, match="reductions ran past 5 steps"):
+            find_k3e(d, 0)
+
+
+class TestLongReductionChains:
+    def test_forced_contractions_run_without_recursion(self):
+        # on this host every step contracts v0's out-arc until the cycle
+        # half is reached, so the chain of reductions is about L long; a
+        # recursion limit far below L must not matter
+        script = """
+            import sys
+            from digraphsub.core import build_digraph, k3_minus_e
+            from digraphsub.k3e import find_k3e
+            from digraphsub.oracle import validate_certificate
+
+            sys.setrecursionlimit(150)
+            L = 200
+            B = L + 1
+            arcs = [(0, 1), (L, B), (L, B + 1)]
+            for i in range(1, L):
+                arcs += [(i, i + 1), (i, B + (i + 7) % B)]
+            for j in range(B):
+                arcs += [(B + j, B + (j + 1) % B), (B + j, j)]
+            d = build_digraph(2 * B, arcs)
+            trace = []
+            cert = find_k3e(d, 0, trace=trace)
+            print(bool(validate_certificate(d, k3_minus_e(), cert)), len(trace))
+        """
+        proc = run_script(script)
+        assert proc.returncode == 0, proc.stderr
+        valid, steps = proc.stdout.split()
+        assert valid == "True"
+        assert int(steps) > 150
 
 
 def _digraphs_with_min_out(n, k):

@@ -1,15 +1,10 @@
 import hashlib
 import itertools
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from pathlib import Path
 
 import pytest
 
-import digraphsub
 from digraphsub.core import (
     bioriented_clique,
     build_digraph,
@@ -26,7 +21,7 @@ from digraphsub.menger import (
     vertex_disjoint_paths,
 )
 
-from .conftest import rand_digraph, rand_out_digraph
+from .conftest import rand_digraph, rand_out_digraph, run_script
 
 GOLDEN_MENGER = Path(__file__).parent / "data" / "menger_golden.sha256"
 
@@ -201,8 +196,7 @@ class TestSelfChecks:
     def test_corrupt_decomposition_raises_under_optimize(self):
         # the self-checks are explicit raises, so ``python -O`` (which
         # strips every assert) must still reject a corrupt answer
-        script = textwrap.dedent(
-            """
+        script = """
             from digraphsub import menger
             from digraphsub.core import bioriented_clique
             from digraphsub.errors import InvariantViolation
@@ -214,12 +208,8 @@ class TestSelfChecks:
                 menger.vertex_disjoint_paths(bioriented_clique(4).without_arcs([(0, 1)]), 0, 1, 2)
             except InvariantViolation as exc:
                 print("raised:", exc)
-            """
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(digraphsub.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-        )
+        """
+        proc = run_script(script, "-O")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "raised: paths share an internal vertex"
 

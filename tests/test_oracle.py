@@ -31,7 +31,7 @@ from digraphsub.oracle import (
     validate_certificate,
 )
 
-from .conftest import rand_digraph, rand_out_digraph
+from .conftest import rand_digraph, rand_out_digraph, run_script
 
 GOLDEN_ORACLE = Path(__file__).parent / "data" / "oracle_golden.sha256"
 
@@ -195,6 +195,20 @@ class TestEvenDicycle:
         # two odd cycles sharing a vertex: 0-1-2 and 0-3-4, all odd
         d = build_digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
         assert not has_even_dicycle(d)
+
+    def test_long_cycle_runs_without_recursion(self):
+        # the walk along a 201-cycle is 200 vertices deep
+        script = """
+            import sys
+            from digraphsub.core import directed_cycle
+            from digraphsub.oracle import has_even_dicycle
+
+            sys.setrecursionlimit(150)
+            print(has_even_dicycle(directed_cycle(201)))
+        """
+        proc = run_script(script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestAutomorphisms:

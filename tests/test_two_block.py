@@ -15,7 +15,7 @@ from digraphsub.oracle import contains_subdivision, validate_certificate
 from digraphsub.outcome import NotFound
 from digraphsub.two_block import find_two_block, fork
 
-from .conftest import rand_out_digraph
+from .conftest import rand_out_digraph, run_script
 
 
 class TestFork:
@@ -165,3 +165,29 @@ class TestThresholdCompleteness33:
             cert = find_two_block(d, 3, 3)
             assert not isinstance(cert, NotFound)
             assert validate_certificate(d, pattern_two_block(3, 3), cert)
+
+
+class TestSelfChecks:
+    def test_corrupt_lay_path_raises_under_optimize(self):
+        # both checks on a laid certificate are explicit raises, so
+        # ``python -O`` (which strips every assert) must still reject a
+        # lay_path that fails, and one that claims success but lays nothing
+        script = """
+            from digraphsub import two_block
+            from digraphsub.core import bioriented_clique
+            from digraphsub.errors import InvariantViolation
+
+            assert not __debug__
+            for answer in (False, True):
+                two_block.lay_path = lambda pat, host, branch, paths: answer
+                try:
+                    two_block.find_two_block(bioriented_clique(5), 3, 2)
+                except InvariantViolation as exc:
+                    print("raised:", exc)
+        """
+        proc = run_script(script, "-O")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "raised: routes shorter than the pattern blocks",
+            "raised: two-block certificate invalid: branch arity mismatch",
+        ]
