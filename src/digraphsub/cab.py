@@ -84,27 +84,6 @@ class _Stuck(DigraphError):
 
 
 # ---------------------------------------------------------------------------
-# vertex-deleted view
-# ---------------------------------------------------------------------------
-
-class _View:
-    """Read-only vertex-deleted view of the working graph, offering what
-    ``embed_gadget_iii`` reads: ``out_nbrs`` and ``has_arc``."""
-
-    __slots__ = ("base", "blocked")
-
-    def __init__(self, base: Digraph, blocked: set[int]):
-        self.base = base
-        self.blocked = blocked
-
-    def out_nbrs(self, v):
-        return [w for w in self.base.out_nbrs(v) if w not in self.blocked]
-
-    def has_arc(self, u, v):
-        return u not in self.blocked and v not in self.blocked and self.base.has_arc(u, v)
-
-
-# ---------------------------------------------------------------------------
 # long directed cycles
 # ---------------------------------------------------------------------------
 
@@ -217,12 +196,19 @@ def _short_cycle_through(host, x: int, y: int, g: int, budget: SearchBudget) -> 
     return (x,) + back[:-1]
 
 
-def _common_in_neighbour(host, x: int, y: int) -> int | None:
+def _walk_step(host, walk: list[int], y: int, seen: set[int]) -> None:
+    """Append to ``walk`` a common in-neighbour z of its last vertex x
+    and of y; ``PropertyViolated`` names the arc (x, y) when there is
+    none, and ``_Stuck`` reports a z the walks already hold."""
+    x = walk[-1]
     xs = set(host.in_nbrs(x))
-    for z in host.in_nbrs(y):
-        if z in xs and z != x and z != y:
-            return z
-    return None
+    z = next((z for z in host.in_nbrs(y) if z in xs and z != x and z != y), None)
+    if z is None:
+        raise PropertyViolated((x, y))
+    if z in seen:
+        raise _Stuck("walk-collision", {"arc": (x, y), "vertex": z})
+    walk.append(z)
+    seen.add(z)
 
 
 def embed_gadget_i_or_ii(host, p: int, q: int, b: int, g: int,
@@ -251,13 +237,7 @@ def embed_gadget_i_or_ii(host, p: int, q: int, b: int, g: int,
             gadget = Gadget(kind=GadgetKind.TYPE_I, p=p, q=q, cycle=cyc)
             _require_valid(host, gadget, b, g)
             return gadget
-        z = _common_in_neighbour(host, x, q)
-        if z is None:
-            raise PropertyViolated((x, q))
-        if z in seen:
-            raise _Stuck("walk-collision", {"arc": (x, q), "vertex": z})
-        r_walk.append(z)
-        seen.add(z)
+        _walk_step(host, r_walk, q, seen)
 
     r_last, u = r_walk[-1], r_walk[-2]
     w_walk = [r_last]
@@ -272,13 +252,7 @@ def embed_gadget_i_or_ii(host, p: int, q: int, b: int, g: int,
             gadget = _close_walks_with_cycle(host, r_walk, w_walk, q, cyc, b, g)
             _require_valid(host, gadget, b, g)
             return gadget
-        z = _common_in_neighbour(host, x, u)
-        if z is None:
-            raise PropertyViolated((x, u))
-        if z in seen:
-            raise _Stuck("walk-collision", {"arc": (x, u), "vertex": z})
-        w_walk.append(z)
-        seen.add(z)
+        _walk_step(host, w_walk, u, seen)
 
     p1 = tuple(reversed(r_walk))  # r .. p, every vertex dominates q
     p2 = tuple(reversed(w_walk))  # w_b .. r
@@ -543,7 +517,6 @@ def _trim(work: Digraph, k: int, log) -> Digraph:
 
 def _grow_and_close(work: Digraph, params: CabParams, budget: SearchBudget, log):
     """Certificate on ``work``, or None when no arc seeds a chain."""
-    b = params.b
     chain = _seed_chain(work, params, budget)
     if chain is None:
         return None
@@ -552,16 +525,13 @@ def _grow_and_close(work: Digraph, params: CabParams, budget: SearchBudget, log)
     while True:
         budget.charge(1, phase="chain-round", spine=chain.m)
         chain_vs = chain.vertex_set()
-        vm = chain.spine[-1]
-        view = _View(work, chain_vs - {vm})
         i0 = max(0, chain.m - params.tail_window)
         tail_vs = chain.subchain(i0, chain.m).vertex_set() if i0 > 0 else chain_vs
         old_vs = chain_vs - tail_vs
 
-        action = _scan(work, view, chain, chain_vs, old_vs, tail_vs, i0, params, budget, log)
+        action = _scan(work, chain, chain_vs, old_vs, tail_vs, i0, params, budget, log)
         if action is None:
-            p0, gadget = embed_gadget_iii(view, vm, b, params.h, params.d, budget)
-            chain = _extend_with_merge(chain, p0, gadget)
+            chain = _extend_with_merge(work, chain, chain_vs, params, budget)
             _log(log, {"event": "extend", "via": "merge", "spine": chain.m})
             continue
         kind, payload = action
@@ -590,9 +560,10 @@ def _chain_form(gadget: Gadget) -> Gadget:
     return gadget
 
 
-def _scan(work, view, chain: Chain, chain_vs: set, old_vs: set, tail_vs: set, i0: int,
+def _scan(work, chain: Chain, chain_vs: set, old_vs: set, tail_vs: set, i0: int,
           params: CabParams, budget: SearchBudget, log):
-    """One breadth-first pass near the chain's head.
+    """One breadth-first pass near the chain's head, entering no chain
+    vertex but the head.
 
     ``chain_vs`` is the chain's vertex set, split into ``tail_vs`` (the
     spine from index ``i0`` on, with its gadgets) and ``old_vs``.
@@ -633,8 +604,8 @@ def _scan(work, view, chain: Chain, chain_vs: set, old_vs: set, tail_vs: set, i0
                     return "cert", cert
 
         if dist[u] < params.a2_gap:
-            for wnext in view.out_nbrs(u):
-                if wnext not in dist:
+            for wnext in work.out_nbrs(u):
+                if wnext not in dist and wnext not in chain_vs:
                     dist[wnext] = dist[u] + 1
                     parent[wnext] = u
                     order.append(wnext)
@@ -696,13 +667,9 @@ def _close_via_gadget(work, chain, chain_vs, parent, u, gadget, i0, params, log)
 
     # cycle gadget: ride it from the first fresh-path vertex on it to the
     # first chain vertex; the arc entering the chain closes things up
-    cyc = gadget.cycle
-    on_cycle = set(cyc)
-    j = next((jj for jj in range(len(q_path)) if q_path[jj] in on_cycle), None)
-    if j is None or j == 0:
+    j, rotated = _rotate_onto_path(gadget.cycle, q_path)
+    if j == 0:
         return None
-    start = cyc.index(q_path[j])
-    rotated = cyc[start:] + cyc[:start]
     hit = next((t for t in range(1, len(rotated)) if rotated[t] in chain_vs), None)
     if hit is None:
         return None
@@ -714,38 +681,46 @@ def _close_via_gadget(work, chain, chain_vs, parent, u, gadget, i0, params, log)
                        Condition1(x=x), "cycle-gadget", params, log)
 
 
+def _rotate_onto_path(cyc: Path, q_path: Path) -> tuple[int, Path]:
+    """Index j of the first vertex of ``q_path`` on the cycle (the path
+    ends on it, so there is one), and the cycle rotated to start there."""
+    on_cycle = set(cyc)
+    j = next(jj for jj, v in enumerate(q_path) if v in on_cycle)
+    start = cyc.index(q_path[j])
+    return j, cyc[start:] + cyc[:start]
+
+
+def _append_gadget(chain: Chain, lead: Path, gadget: Gadget) -> Chain | None:
+    """The chain's spine continued by the dipath ``lead``, which ends at
+    the gadget's p, then by its q, with the gadget on that last arc; None
+    when the new spine repeats a vertex."""
+    spine = chain.spine + lead + (gadget.q,)
+    if len(set(spine)) != len(spine):
+        return None
+    gadgets = dict(chain.gadgets)
+    gadgets[len(spine) - 2] = gadget
+    return Chain(spine=spine, gadgets=gadgets)
+
+
 def _extend_with_fresh_gadget(chain: Chain, parent, u, gadget: Gadget, params: CabParams):
     """Append the explored path and a fresh gadget to the chain."""
-    vm = chain.spine[-1]
-    q_path = path_to(parent, vm, u)
+    q_path = path_to(parent, chain.spine[-1], u)
 
     if gadget.kind is GadgetKind.TYPE_II_EXTENDED:
         basic = _chain_form(gadget)
         if basic.vertices() & set(q_path) != {q_path[-2], u}:
             return None
-        new_spine = chain.spine + q_path[1:]
-        new_gadgets = dict(chain.gadgets)
-        new_gadgets[len(new_spine) - 2] = basic
-        trial = Chain(spine=new_spine, gadgets=new_gadgets)
+        trial = _append_gadget(chain, q_path[1:-1], basic)
     else:
-        cyc = gadget.cycle
-        on_cycle = set(cyc)
         # anchor the cycle at the first explored-path vertex it touches;
         # that may be the chain's head itself
-        j = next(jj for jj in range(len(q_path)) if q_path[jj] in on_cycle)
-        anchor = q_path[j]
-        start = cyc.index(anchor)
-        rotated = cyc[start:] + cyc[:start]
-        succ = rotated[1]
-        if succ in q_path[:j]:
+        j, rotated = _rotate_onto_path(gadget.cycle, q_path)
+        if rotated[1] in q_path[:j]:
             return None
-        reanchored = Gadget(kind=GadgetKind.TYPE_I, p=anchor, q=succ, cycle=rotated)
-        new_spine = chain.spine + q_path[1 : j + 1] + (succ,)
-        new_gadgets = dict(chain.gadgets)
-        new_gadgets[len(new_spine) - 2] = reanchored
-        trial = Chain(spine=new_spine, gadgets=new_gadgets)
+        reanchored = Gadget(kind=GadgetKind.TYPE_I, p=rotated[0], q=rotated[1], cycle=rotated)
+        trial = _append_gadget(chain, q_path[1 : j + 1], reanchored)
 
-    if len(set(trial.spine)) != len(trial.spine):
+    if trial is None:
         return None
     last = trial.gadgets[trial.m - 1]
     if len(last.vertices()) > params.max_gadget_size:
@@ -755,14 +730,21 @@ def _extend_with_fresh_gadget(chain: Chain, parent, u, gadget: Gadget, params: C
     return trial
 
 
-def _extend_with_merge(chain: Chain, p0: Path, gadget: Gadget) -> Chain:
-    if p0[0] != chain.spine[-1] or p0[-1] != gadget.p:
+def _extend_with_merge(work: Digraph, chain: Chain, chain_vs: set, params: CabParams,
+                       budget: SearchBudget) -> Chain:
+    """Append a merge gadget grown from the chain's head in ``work`` with
+    every arc at another chain vertex cut off."""
+    vm = chain.spine[-1]
+    gone = chain_vs - {vm}
+    host = Digraph(work.n, tuple(
+        () if v in gone else tuple(w for w in work.out_nbrs(v) if w not in gone)
+        for v in work.vertices()
+    ))
+    p0, gadget = embed_gadget_iii(host, vm, params.b, params.h, params.d, budget)
+    if p0[0] != vm or p0[-1] != gadget.p:
         raise InvariantViolation("merge path does not join the chain's head to the gadget")
-    new_spine = chain.spine + p0[1:] + (gadget.q,)
-    new_gadgets = dict(chain.gadgets)
-    new_gadgets[len(new_spine) - 2] = gadget
-    trial = Chain(spine=new_spine, gadgets=new_gadgets)
-    if len(set(trial.spine)) != len(trial.spine):
+    trial = _append_gadget(chain, p0[1:], gadget)
+    if trial is None:
         raise InvariantViolation("merge extension re-used a spine vertex")
     return trial
 

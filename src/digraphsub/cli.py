@@ -99,10 +99,10 @@ def _dispatch_find(d: Digraph, spec: str, budget: int, seed, log: list):
     if name == "cab":
         return find_cab(d, *nums, SearchBudget(budget), log=log), pattern
     if name == "twoblock":
-        return find_two_block(d, *nums, SearchBudget(budget)), pattern
+        return find_two_block(d, *nums, SearchBudget(budget), log=log), pattern
     if name == "k3e":
         try:
-            return find_k3e(d), pattern
+            return find_k3e(d, trace=log), pattern
         except DigraphError as exc:
             return NotFound("precondition", {"why": str(exc)}), pattern
     return (
@@ -248,10 +248,7 @@ def cmd_witness(args) -> int:
     except (BadParams, DegeneratePattern) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        witness, confirmed = lower_witness(pattern, budget=args.budget)
-    except BudgetExceeded:
-        return EXIT_BUDGET
+    witness, confirmed = lower_witness(pattern, budget=args.budget)
     _write(args.out, write_edge_list(witness))
     print(f"witness on {witness.n} vertices, oracle-confirmed: {confirmed}")
     return EXIT_FOUND

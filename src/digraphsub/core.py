@@ -52,7 +52,7 @@ class Digraph:
         for u in range(n):
             for v in out_adj[u]:
                 ins[v].append(u)
-        self._in = tuple(tuple(sorted(vs)) for vs in ins)
+        self._in = tuple(tuple(vs) for vs in ins)  # tails arrive ascending
         self._m = sum(len(t) for t in out_adj)
 
     # ---- queries -----------------------------------------------------------

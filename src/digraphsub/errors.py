@@ -23,7 +23,7 @@ class LoopArc(DigraphError):
 
 
 class VertexOutOfRange(DigraphError):
-    """An arc endpoint is outside 0..n-1."""
+    """A vertex id or an arc endpoint is outside 0..n-1."""
 
 
 class EmptyGraph(DigraphError):

@@ -833,11 +833,12 @@ def _closure_alt_path(host, chain: Chain, closure, first: Gadget, b: int) -> Alt
             raise ClosureInvalid("closure gadget must be an extended dominating gadget")
         if gstar.p != zl or gstar.q != closure.zstar:
             raise ClosureInvalid("closure gadget must hang off the spine's last vertex")
-        if closure.zstar in chain.vertex_set():
+        chain_vs = chain.vertex_set()
+        if closure.zstar in chain_vs:
             raise ClosureInvalid("closure head must be a fresh vertex")
         if not (first.vertices() & gstar.vertices()):
             raise ClosureInvalid("closure gadget misses the first gadget")
-        if (chain.vertex_set() & gstar.vertices()) - first.vertices() - {zl}:
+        if (chain_vs & gstar.vertices()) - first.vertices() - {zl}:
             raise ClosureInvalid("closure gadget touches the chain beyond the first gadget")
         rep = validate_gadget(host, gstar, b, 1)
         if not rep:

@@ -17,7 +17,7 @@ before returning.
 from __future__ import annotations
 
 from .core import Digraph, Path, bfs_levels, bfs_path, k3_minus_e, strong_components
-from .errors import InvariantViolation, PreconditionViolated
+from .errors import InvariantViolation, PreconditionViolated, VertexOutOfRange
 from .menger import fan_to_set
 from .oracle import SubdivisionCertificate, contract_arc, lift_contraction, require_valid
 
@@ -30,7 +30,8 @@ def find_k3e(d: Digraph, v0: int | None = None,
     arc, in any digraph meeting the degree precondition.
 
     ``v0`` is the vertex allowed out-degree 1 (default: a vertex of
-    minimum out-degree).  Raises ``PreconditionViolated`` when some
+    minimum out-degree; an id outside ``0..n-1`` raises
+    ``VertexOutOfRange``).  Raises ``PreconditionViolated`` when some
     other vertex has out-degree below 2.  ``trace``, when given, collects
     one dict per reduction step for debugging lift chains.
     """
@@ -38,6 +39,8 @@ def find_k3e(d: Digraph, v0: int | None = None,
         raise PreconditionViolated(-1, "empty graph")
     if v0 is None:
         v0 = min(d.vertices(), key=lambda v: (d.out_degree(v), v))
+    elif not 0 <= v0 < d.n:
+        raise VertexOutOfRange(f"v0 = {v0} outside 0..{d.n - 1}")
     if d.out_degree(v0) < 1:
         raise PreconditionViolated(v0)
     for v in d.vertices():

@@ -183,22 +183,18 @@ def verify_upper(
                 n = rng.randrange(max(tested_degree + 1, 3), n_max + 1)
                 yield sample_digraph(rng, n, tested_degree)
 
+    counterexample = None
     for d in hosts():
-        verdict = contains(d)
         checked += 1
-        if verdict is False:
-            return MaderReport(
-                pattern_name=pattern_name,
-                tested_degree=tested_degree,
-                n_max=n_max,
-                mode=mode,
-                outcome="counterexample",
-                checked=checked,
-                counterexample=d,
-                seed=seed if mode == "sampled" else None,
-                budget_failures=budget_failures,
-            )
-    outcome = "all-contain" if budget_failures == 0 else "inconclusive"
+        if contains(d) is False:
+            counterexample = d
+            break
+    if counterexample is not None:
+        outcome = "counterexample"
+    elif budget_failures:
+        outcome = "inconclusive"
+    else:
+        outcome = "all-contain"
     return MaderReport(
         pattern_name=pattern_name,
         tested_degree=tested_degree,
@@ -206,6 +202,7 @@ def verify_upper(
         mode=mode,
         outcome=outcome,
         checked=checked,
+        counterexample=counterexample,
         seed=seed if mode == "sampled" else None,
         budget_failures=budget_failures,
     )

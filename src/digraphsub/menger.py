@@ -22,7 +22,14 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import Digraph, Path, bfs_levels
-from .errors import ArcPresent, EmptyGraph, InvariantViolation, SameVertex, VertexInSet
+from .errors import (
+    ArcPresent,
+    EmptyGraph,
+    InvariantViolation,
+    SameVertex,
+    VertexInSet,
+    VertexOutOfRange,
+)
 
 
 @dataclass(frozen=True)
@@ -233,6 +240,7 @@ def vertex_disjoint_paths(d: Digraph, u: int, v: int, k: int) -> PathsOrCut:
     Requires u != v and (u, v) not an arc, so that a finite cut always
     exists when the paths do not.
     """
+    _check_in_range(d, (u, v))
     if u == v:
         raise SameVertex(f"u == v == {u}")
     if d.has_arc(u, v):
@@ -259,6 +267,7 @@ def fan_to_set(d: Digraph, v: int, targets, k: int) -> FanOrCut:
     its first target vertex.
     """
     a = frozenset(targets)
+    _check_in_range(d, (v, *a))
     if v in a:
         raise VertexInSet(f"apex {v} lies in the target set")
     if not a:
@@ -305,6 +314,13 @@ def strong_arc_connectivity(d: Digraph) -> int:
 # ---------------------------------------------------------------------------
 # self-checks (explicit raises, so ``python -O`` keeps them)
 # ---------------------------------------------------------------------------
+
+def _check_in_range(d: Digraph, vertices) -> None:
+    """Bad input, not a bug: an id outside 0..n-1 raises ``VertexOutOfRange``."""
+    for w in vertices:
+        if not 0 <= w < d.n:
+            raise VertexOutOfRange(f"vertex {w} outside 0..{d.n - 1}")
+
 
 def _check(ok: bool, message: str) -> None:
     if not ok:

@@ -105,11 +105,7 @@ def make_type_iii(rng: random.Random, alloc: IdAllocator, b: int,
     return arcs, Gadget(kind=GadgetKind.TYPE_III, p=p, q=q, r=r, p1=p1, p2=p2)
 
 
-_CHAIN_MAKERS = {
-    GadgetKind.TYPE_I: make_type_i,
-    GadgetKind.TYPE_II_BASIC: make_type_ii_basic,
-    GadgetKind.TYPE_III: make_type_iii,
-}
+_CHAIN_KINDS = (GadgetKind.TYPE_I, GadgetKind.TYPE_II_BASIC, GadgetKind.TYPE_III)
 
 
 def make_gadget(rng: random.Random, alloc: IdAllocator, kind: GadgetKind,
@@ -131,22 +127,24 @@ def make_gadget(rng: random.Random, alloc: IdAllocator, kind: GadgetKind,
 # chains
 # ---------------------------------------------------------------------------
 
+_MAX_GAP = 3
+
+
 def random_chain(rng: random.Random, alloc: IdAllocator, b: int, g: int,
-                 n_gadget_arcs: int, first_gadget: bool = True,
-                 max_gap: int = 3) -> tuple[set[Arc], Chain]:
+                 n_gadget_arcs: int) -> tuple[set[Arc], Chain]:
     """Chain with ``n_gadget_arcs`` non-trivial gadgets of random kinds.
 
-    The first spine arc carries a gadget when ``first_gadget``; gaps of
-    1..max_gap plain arcs separate the rest.  A short plain tail keeps
-    the last spine vertex clear of any gadget.
+    The first spine arc carries a gadget; gaps of 1.._MAX_GAP plain arcs
+    separate the rest.  A short plain tail keeps the last spine vertex
+    clear of any gadget.
     """
     spine = [alloc.one()]
     arcs: set[Arc] = set()
     gadget_positions: list[int] = []
     remaining = n_gadget_arcs
     while remaining > 0:
-        if not (first_gadget and not gadget_positions and len(spine) == 1):
-            for _ in range(rng.randrange(1, max_gap + 1)):
+        if gadget_positions:
+            for _ in range(rng.randrange(1, _MAX_GAP + 1)):
                 nxt = alloc.one()
                 arcs.add((spine[-1], nxt))
                 spine.append(nxt)
@@ -155,14 +153,14 @@ def random_chain(rng: random.Random, alloc: IdAllocator, b: int, g: int,
         arcs.add((spine[-1], nxt))
         spine.append(nxt)
         remaining -= 1
-    for _ in range(rng.randrange(1, max_gap + 1)):
+    for _ in range(rng.randrange(1, _MAX_GAP + 1)):
         nxt = alloc.one()
         arcs.add((spine[-1], nxt))
         spine.append(nxt)
 
     gadgets: dict[int, Gadget] = {}
     for idx in gadget_positions:
-        kind = rng.choice(list(_CHAIN_MAKERS))
+        kind = rng.choice(_CHAIN_KINDS)
         g_arcs, gadget = make_gadget(rng, alloc, kind, b, g, p=spine[idx], q=spine[idx + 1])
         arcs |= g_arcs
         gadgets[idx] = gadget

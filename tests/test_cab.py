@@ -29,7 +29,7 @@ from digraphsub.errors import (
     PropertyViolated,
     RetriesExhausted,
 )
-from digraphsub.gadgets import GadgetKind, validate_gadget
+from digraphsub.gadgets import CabParams, GadgetKind, validate_gadget
 from digraphsub.oracle import (
     ContractionRecord,
     SearchBudget,
@@ -195,6 +195,40 @@ class TestEmbedIII:
         host = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
         with pytest.raises(PreconditionUnverifiable):
             embed_gadget_iii(host, 0, b=2, h=2, width=3)
+
+
+class TestMergeRound:
+    def test_merge_host_cuts_off_every_chain_vertex_but_the_head(self, monkeypatch):
+        # a round whose scan finds no move grows a merge gadget from the
+        # chain's head, in the working graph minus the rest of the chain
+        work = synthetic.ring_of_cycle_gadgets(12)
+        params = CabParams(a=2, b=1)
+        chain = cab._seed_chain(work, params, SearchBudget(10**6))
+        vm = chain.spine[-1]
+        gone = chain.vertex_set() - {vm}
+        assert gone
+        handed = []
+
+        class Handed(Exception):
+            pass
+
+        def fake_embed(host, v, b, h, width, budget=None):
+            handed.append((host, v))
+            raise Handed
+
+        monkeypatch.setattr(cab, "_scan", lambda *args, **kwargs: None)
+        monkeypatch.setattr(cab, "embed_gadget_iii", fake_embed)
+        with pytest.raises(Handed):
+            cab._grow_and_close(work, params, SearchBudget(10**6), None)
+        ((host, v),) = handed
+        assert v == vm
+        for x, y in work.arcs():
+            assert host.has_arc(x, y) == (x not in gone and y not in gone)
+        for x in work.vertices():
+            if x in gone:
+                assert not any(host.has_arc(x, y) for y in host.out_nbrs(x))
+            else:
+                assert tuple(host.out_nbrs(x)) == tuple(y for y in work.out_nbrs(x) if y not in gone)
 
 
 class TestFindCabWiredHosts:

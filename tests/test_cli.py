@@ -95,6 +95,14 @@ class TestFind:
         events = [json.loads(line) for line in log.read_text().splitlines() if line]
         assert any(e["event"] == "close" for e in events)
 
+    @pytest.mark.parametrize("spec", ["k3e", "twoblock:2,2"])
+    def test_run_log_written_for_k3e_and_twoblock(self, spec, tmp_path):
+        host = tmp_path / "k5.edges"
+        host.write_text(write_edge_list(bioriented_clique(5)))
+        log = tmp_path / "run.jsonl"
+        assert main(["find", "--pattern", spec, "--in", str(host), "--log", str(log)]) == 0
+        assert [json.loads(line) for line in log.read_text().splitlines() if line]
+
 
 class TestCheck:
     def test_round_trip(self, bivec_k3_file, tmp_path):

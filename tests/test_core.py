@@ -77,6 +77,15 @@ class TestBuild:
         with pytest.raises(EmptyGraph):
             min_out_degree(build_digraph(0, []))
 
+    @given(digraphs(), st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_in_rows_list_tails_ascending(self, d, data):
+        # the constructor appends tails in ascending order and never sorts
+        removed = data.draw(st.sets(st.sampled_from(list(d.arcs())))) if d.m else set()
+        for g in (d, d.transpose(), d.without_arcs(removed)):
+            for v in g.vertices():
+                assert g.in_nbrs(v) == tuple(u for u in g.vertices() if g.has_arc(u, v))
+
 
 class TestDegreesAndGirth:
     def test_bivec_k4_min_out(self):

@@ -1,0 +1,22 @@
+"""The package keeps two graph types, ``core.Digraph`` and the
+read-only ``core.AdjView``: any other class offering ``out_nbrs`` is a
+further representation to fold into one of them."""
+
+import ast
+from pathlib import Path
+
+import digraphsub
+
+SOURCES = sorted(Path(digraphsub.__file__).parent.glob("*.py"))
+
+
+def test_only_core_graph_types_define_out_nbrs():
+    found = {
+        f"{path.stem}.{node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "out_nbrs" for item in node.body)
+    }
+    assert len(SOURCES) > 10
+    assert found == {"core.Digraph", "core.AdjView"}

@@ -13,7 +13,7 @@ from digraphsub.core import (
     min_out_degree,
 )
 from digraphsub import k3e
-from digraphsub.errors import InvariantViolation, PreconditionViolated
+from digraphsub.errors import InvariantViolation, PreconditionViolated, VertexOutOfRange
 from digraphsub.k3e import find_k3e
 from digraphsub.mader import enumerate_digraphs
 from digraphsub.oracle import contains_subdivision, validate_certificate
@@ -49,6 +49,11 @@ class TestDirectCases:
     def test_precondition_violated(self):
         with pytest.raises(PreconditionViolated):
             find_k3e(directed_cycle(4))
+
+    @pytest.mark.parametrize("v0", [-1, 4, 10])
+    def test_v0_out_of_range(self, v0):
+        with pytest.raises(VertexOutOfRange):
+            find_k3e(bioriented_clique(4), v0=v0)
 
     def test_tightness_on_digon(self):
         # out-degree 1 everywhere: no subdivision exists

@@ -12,7 +12,7 @@ from digraphsub.core import (
     directed_path,
     bfs_levels,
 )
-from digraphsub.errors import ArcPresent, EmptyGraph, SameVertex, VertexInSet
+from digraphsub.errors import ArcPresent, EmptyGraph, SameVertex, VertexInSet, VertexOutOfRange
 from digraphsub.menger import (
     _arc_network,
     _split_network,
@@ -72,6 +72,11 @@ class TestVertexDisjointPaths:
         with pytest.raises(ArcPresent):
             vertex_disjoint_paths(directed_cycle(3), 0, 1, 1)
 
+    @pytest.mark.parametrize("u,v", [(0, 9), (0, 4), (-1, 2), (2, -1), (4, 0)])
+    def test_vertex_out_of_range(self, u, v):
+        with pytest.raises(VertexOutOfRange):
+            vertex_disjoint_paths(directed_cycle(4), u, v, 1)
+
     def test_k1_is_reachability(self, rng):
         for _ in range(200):
             d = rand_digraph(rng, 7, 0.25)
@@ -103,6 +108,11 @@ class TestFanToSet:
     def test_vertex_in_set(self):
         with pytest.raises(VertexInSet):
             fan_to_set(bioriented_clique(3), 0, {0, 1}, 1)
+
+    @pytest.mark.parametrize("v,targets", [(0, {9}), (0, {1, 4}), (-1, {0, 1}), (7, {0, 1}), (0, {-2})])
+    def test_vertex_out_of_range(self, v, targets):
+        with pytest.raises(VertexOutOfRange):
+            fan_to_set(bioriented_clique(4), v, targets, 2)
 
     def test_paths_clipped_at_first_target(self, rng):
         for _ in range(100):
