@@ -526,7 +526,7 @@ def _grow_and_close(work: Digraph, params: CabParams, budget: SearchBudget, log)
         budget.charge(1, phase="chain-round", spine=chain.m)
         chain_vs = chain.vertex_set()
         i0 = max(0, chain.m - params.tail_window)
-        tail_vs = chain.subchain(i0, chain.m).vertex_set() if i0 > 0 else chain_vs
+        tail_vs = _tail_vertex_set(chain, i0) if i0 > 0 else chain_vs
         old_vs = chain_vs - tail_vs
 
         action = _scan(work, chain, chain_vs, old_vs, tail_vs, i0, params, budget, log)
@@ -539,6 +539,15 @@ def _grow_and_close(work: Digraph, params: CabParams, budget: SearchBudget, log)
             return payload
         chain = payload
         _log(log, {"event": "extend", "via": kind, "spine": chain.m})
+
+
+def _tail_vertex_set(chain: Chain, i0: int) -> frozenset[int]:
+    """``chain.subchain(i0, chain.m).vertex_set()`` without building the
+    subchain: the spine from ``i0`` on and the gadgets on its arcs."""
+    gadgets = chain.gadgets
+    return frozenset(chain.spine[i0:]).union(
+        *(gadgets[idx].vertices() for idx in range(i0, chain.m) if idx in gadgets)
+    )
 
 
 def _seed_chain(work: Digraph, params: CabParams, budget: SearchBudget) -> Chain | None:
@@ -560,8 +569,8 @@ def _chain_form(gadget: Gadget) -> Gadget:
     return gadget
 
 
-def _scan(work, chain: Chain, chain_vs: set, old_vs: set, tail_vs: set, i0: int,
-          params: CabParams, budget: SearchBudget, log):
+def _scan(work, chain: Chain, chain_vs: frozenset, old_vs: frozenset,
+          tail_vs: frozenset, i0: int, params: CabParams, budget: SearchBudget, log):
     """One breadth-first pass near the chain's head, entering no chain
     vertex but the head.
 
@@ -613,8 +622,12 @@ def _scan(work, chain: Chain, chain_vs: set, old_vs: set, tail_vs: set, i0: int,
 
 
 def _gadget_index_of(chain: Chain, x: int, below: int) -> int | None:
+    """Largest arc index under ``below`` whose gadget, or plain arc, holds x."""
+    spine, gadgets = chain.spine, chain.gadgets
     for idx in range(below - 1, -1, -1):
-        if x in chain.gadget_at(idx).vertices():
+        gadget = gadgets.get(idx)
+        holds = gadget.vertices() if gadget is not None else (spine[idx], spine[idx + 1])
+        if x in holds:
             return idx
     return None
 
@@ -690,18 +703,6 @@ def _rotate_onto_path(cyc: Path, q_path: Path) -> tuple[int, Path]:
     return j, cyc[start:] + cyc[:start]
 
 
-def _append_gadget(chain: Chain, lead: Path, gadget: Gadget) -> Chain | None:
-    """The chain's spine continued by the dipath ``lead``, which ends at
-    the gadget's p, then by its q, with the gadget on that last arc; None
-    when the new spine repeats a vertex."""
-    spine = chain.spine + lead + (gadget.q,)
-    if len(set(spine)) != len(spine):
-        return None
-    gadgets = dict(chain.gadgets)
-    gadgets[len(spine) - 2] = gadget
-    return Chain(spine=spine, gadgets=gadgets)
-
-
 def _extend_with_fresh_gadget(chain: Chain, parent, u, gadget: Gadget, params: CabParams):
     """Append the explored path and a fresh gadget to the chain."""
     q_path = path_to(parent, chain.spine[-1], u)
@@ -710,7 +711,7 @@ def _extend_with_fresh_gadget(chain: Chain, parent, u, gadget: Gadget, params: C
         basic = _chain_form(gadget)
         if basic.vertices() & set(q_path) != {q_path[-2], u}:
             return None
-        trial = _append_gadget(chain, q_path[1:-1], basic)
+        trial = chain.extended(q_path[1:-1], basic)
     else:
         # anchor the cycle at the first explored-path vertex it touches;
         # that may be the chain's head itself
@@ -718,7 +719,7 @@ def _extend_with_fresh_gadget(chain: Chain, parent, u, gadget: Gadget, params: C
         if rotated[1] in q_path[:j]:
             return None
         reanchored = Gadget(kind=GadgetKind.TYPE_I, p=rotated[0], q=rotated[1], cycle=rotated)
-        trial = _append_gadget(chain, q_path[1 : j + 1], reanchored)
+        trial = chain.extended(q_path[1 : j + 1], reanchored)
 
     if trial is None:
         return None
@@ -730,7 +731,7 @@ def _extend_with_fresh_gadget(chain: Chain, parent, u, gadget: Gadget, params: C
     return trial
 
 
-def _extend_with_merge(work: Digraph, chain: Chain, chain_vs: set, params: CabParams,
+def _extend_with_merge(work: Digraph, chain: Chain, chain_vs: frozenset, params: CabParams,
                        budget: SearchBudget) -> Chain:
     """Append a merge gadget grown from the chain's head in ``work`` with
     every arc at another chain vertex cut off."""
@@ -743,7 +744,7 @@ def _extend_with_merge(work: Digraph, chain: Chain, chain_vs: set, params: CabPa
     p0, gadget = embed_gadget_iii(host, vm, params.b, params.h, params.d, budget)
     if p0[0] != vm or p0[-1] != gadget.p:
         raise InvariantViolation("merge path does not join the chain's head to the gadget")
-    trial = _append_gadget(chain, p0[1:], gadget)
+    trial = chain.extended(p0[1:], gadget)
     if trial is None:
         raise InvariantViolation("merge extension re-used a spine vertex")
     return trial

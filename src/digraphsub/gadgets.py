@@ -17,8 +17,10 @@ returning it.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 from .core import AdjView, Path, bfs_path, pattern_cab
 from .cycle_embed import certificate_from_cycle
@@ -128,11 +130,12 @@ class Gadget:
     link: tuple | None = None
 
     def vertices(self) -> frozenset[int]:
-        vs = {self.p, self.q}
-        for part in (self.cycle, self.p1, self.p2):
-            if part:
-                vs.update(part)
-        return frozenset(vs)
+        """Every vertex of the gadget, built on the first call and kept."""
+        vs = self.__dict__.get("_vertices")
+        if vs is None:
+            vs = frozenset((self.p, self.q, *(self.cycle or ()), *(self.p1 or ()), *(self.p2 or ())))
+            object.__setattr__(self, "_vertices", vs)
+        return vs
 
     def arcs(self) -> set[tuple[int, int]]:
         """Arc set the definition of this gadget kind requires in the host."""
@@ -337,11 +340,22 @@ class Chain:
     ``gadgets`` maps an arc index i (the arc spine[i] -> spine[i+1]) to
     its gadget; indices absent from the map are plain arcs.  Gadgets
     meet the spine only at their own arc's endpoints and meet each other
-    only on the spine.
+    only on the spine.  The map is copied into a read-only view at
+    construction, so the vertex set cached by ``vertex_set`` stays true.
     """
 
     spine: Path
-    gadgets: dict[int, Gadget]
+    gadgets: Mapping[int, Gadget]
+
+    def __post_init__(self):
+        object.__setattr__(self, "gadgets", MappingProxyType(dict(self.gadgets)))
+
+    # a mappingproxy neither prints as the dict it wraps nor pickles
+    def __repr__(self) -> str:
+        return f"Chain(spine={self.spine!r}, gadgets={dict(self.gadgets)!r})"
+
+    def __reduce__(self):
+        return Chain, (self.spine, dict(self.gadgets))
 
     @property
     def m(self) -> int:
@@ -356,11 +370,30 @@ class Chain:
             return got
         return trivial_gadget(self.spine[idx], self.spine[idx + 1])
 
-    def vertex_set(self) -> set[int]:
-        vs = set(self.spine)
-        for g in self.gadgets.values():
-            vs |= g.vertices()
+    def vertex_set(self) -> frozenset[int]:
+        """Spine and gadget vertices, built on the first call and kept."""
+        vs = self.__dict__.get("_vertex_set")
+        if vs is None:
+            vs = frozenset(self.spine).union(*(g.vertices() for g in self.gadgets.values()))
+            object.__setattr__(self, "_vertex_set", vs)
         return vs
+
+    def extended(self, lead: Path, gadget: Gadget) -> "Chain | None":
+        """This chain's spine continued by the dipath ``lead``, which ends
+        at the gadget's p, then by its q, with the gadget on that last arc;
+        None when the new spine repeats a vertex.
+
+        A vertex set already built here seeds the new chain's, so a chain
+        grown arc by arc never rebuilds the union of all its gadgets.
+        """
+        spine = self.spine + lead + (gadget.q,)
+        if len(set(spine)) != len(spine):
+            return None
+        chain = Chain(spine=spine, gadgets={**self.gadgets, len(spine) - 2: gadget})
+        vs = self.__dict__.get("_vertex_set")
+        if vs is not None:
+            object.__setattr__(chain, "_vertex_set", vs.union(lead, gadget.vertices()))
+        return chain
 
     def subchain(self, i: int, j: int) -> "Chain":
         """Chain on spine[i..j] inheriting the gadgets of inner arcs."""

@@ -231,6 +231,42 @@ class TestMergeRound:
                 assert tuple(host.out_nbrs(x)) == tuple(y for y in work.out_nbrs(x) if y not in gone)
 
 
+def _reference_gadget_index_of(chain, x, below):
+    """Largest arc index under ``below`` whose gadget holds x, plain arcs
+    read as trivial gadgets."""
+    for idx in range(below - 1, -1, -1):
+        if x in chain.gadget_at(idx).vertices():
+            return idx
+    return None
+
+
+def _lookup_chains():
+    # random chains end in plain arcs; a last gadget on the head's arc
+    # puts one at the very end of the tail too
+    for seed in range(6):
+        rng = random.Random(seed)
+        b = 1 + seed % 2
+        alloc = synthetic.IdAllocator()
+        chain = synthetic.random_chain(rng, alloc, b, 4 * b * b, 2 + 2 * seed)[1]
+        kind = (GadgetKind.TYPE_I, GadgetKind.TYPE_II_BASIC, GadgetKind.TYPE_III)[seed % 3]
+        yield chain
+        yield chain.extended((), synthetic.make_gadget(rng, alloc, kind, b, 4 * b * b, p=chain.spine[-1])[1])
+
+
+class TestChainLookups:
+    def test_gadget_index_of_matches_reference(self):
+        for chain in _lookup_chains():
+            xs = sorted(chain.vertex_set()) + [max(chain.vertex_set()) + 1]
+            for below in range(chain.m + 1):
+                for x in xs:
+                    assert cab._gadget_index_of(chain, x, below) == _reference_gadget_index_of(chain, x, below)
+
+    def test_tail_vertex_set_matches_subchain(self):
+        for chain in _lookup_chains():
+            for i0 in range(1, chain.m):
+                assert cab._tail_vertex_set(chain, i0) == chain.subchain(i0, chain.m).vertex_set()
+
+
 class TestFindCabWiredHosts:
     @pytest.mark.parametrize("a", [2, 3])
     @pytest.mark.parametrize("b", [1, 2, 3])

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+import pickle
 import random
 
 import pytest
@@ -35,11 +38,12 @@ from digraphsub.gadgets import (
     validate_gadget,
 )
 from digraphsub.oracle import validate_certificate
-from digraphsub import synthetic
+from digraphsub import gadgets, synthetic
 from digraphsub.synthetic import (
     IdAllocator,
     chain_closure_fixture,
     intersecting_pair,
+    make_gadget,
     make_type_i,
     make_type_ii_basic,
     make_type_ii_extended,
@@ -431,3 +435,125 @@ class TestCloseChain:
         with pytest.raises(ClosureInvalid):
             close_chain(host, chain, Condition1(x=outsider), a, b)
 
+
+def _reference_gadget_vertices(gadget):
+    """The gadget's vertex set, rebuilt on every call."""
+    vs = {gadget.p, gadget.q}
+    for part in (gadget.cycle, gadget.p1, gadget.p2):
+        if part:
+            vs.update(part)
+    return frozenset(vs)
+
+
+def _reference_chain_vertices(chain):
+    """The union of the spine and every gadget, rebuilt on every call."""
+    vs = set(chain.spine)
+    for g in chain.gadgets.values():
+        vs |= _reference_gadget_vertices(g)
+    return vs
+
+
+def _every_kind(rng, b, g):
+    alloc = IdAllocator()
+    for kind in GadgetKind:
+        for _ in range(5):
+            yield make_gadget(rng, alloc, kind, b, g)[1]
+
+
+def _seeded_chains():
+    for seed in range(12):
+        rng = random.Random(seed)
+        b = 1 + seed % 3
+        yield random_chain(rng, IdAllocator(), b, 4 * b * b, n_gadget_arcs=1 + seed)[1]
+
+
+class TestCachedVertexSets:
+    def test_gadget_vertices_match_reference(self, rng):
+        for b in (1, 2, 3):
+            for gadget in _every_kind(rng, b, 4 * b * b):
+                assert gadget.vertices() == _reference_gadget_vertices(gadget)
+                assert isinstance(gadget.vertices(), frozenset)
+
+    def test_chain_vertex_set_matches_reference_on_every_subchain(self):
+        for chain in _seeded_chains():
+            assert chain.vertex_set() == _reference_chain_vertices(chain)
+            for i in range(chain.m):
+                for j in range(i + 1, chain.m + 1):
+                    sub = chain.subchain(i, j)
+                    assert sub.vertex_set() == _reference_chain_vertices(sub)
+
+    def test_extended_chain_set_matches_reference(self, rng):
+        # one chain grown by extended() from chains whose set is cached,
+        # a twin grown from chains whose set was never asked for
+        for chain in _seeded_chains():
+            alloc = IdAllocator(max(chain.vertex_set()) + 1)
+            seeded = chain
+            fresh = Chain(spine=chain.spine, gadgets=chain.gadgets)
+            for kind in GadgetKind:
+                lead = tuple(alloc.take(rng.randrange(3)))
+                p = lead[-1] if lead else seeded.spine[-1]
+                gadget = make_gadget(rng, alloc, kind, 1, 4, p=p)[1]
+                seeded.vertex_set()
+                seeded = seeded.extended(lead, gadget)
+                fresh = fresh.extended(lead, gadget)
+                assert seeded.spine[-len(lead) - 1:] == lead + (gadget.q,)
+                assert seeded.gadgets[seeded.m - 1] is gadget
+                assert seeded.vertex_set() == _reference_chain_vertices(seeded)
+            assert fresh == seeded
+            assert fresh.vertex_set() == _reference_chain_vertices(fresh)
+            assert seeded.extended((), trivial_gadget(seeded.spine[-1], seeded.spine[1])) is None
+            assert seeded.extended((seeded.spine[0],), trivial_gadget(seeded.spine[0], alloc.one())) is None
+
+    def test_repeated_calls_return_the_same_object(self, rng):
+        for gadget in _every_kind(rng, 2, 16):
+            assert gadget.vertices() is gadget.vertices()
+        for chain in _seeded_chains():
+            assert chain.vertex_set() is chain.vertex_set()
+            assert isinstance(chain.vertex_set(), frozenset)
+
+    def test_cache_leaves_gadget_value_unchanged(self, rng):
+        for gadget in _every_kind(rng, 1, 4):
+            twin = dataclasses.replace(gadget)
+            before = (hash(gadget), repr(gadget))
+            gadget.vertices()
+            assert (hash(gadget), repr(gadget)) == before
+            assert gadget == twin and twin == gadget
+            assert hash(gadget) == hash(twin)
+
+    def test_cache_leaves_chain_value_unchanged(self):
+        for chain in _seeded_chains():
+            twin = Chain(spine=chain.spine, gadgets=dict(chain.gadgets))
+            before = repr(chain)
+            assert before.startswith(f"Chain(spine={chain.spine!r}, gadgets={{")
+            chain.vertex_set()
+            assert repr(chain) == before
+            assert chain == twin and twin == chain
+            assert pickle.loads(pickle.dumps(chain)) == chain
+            with pytest.raises(TypeError):
+                hash(chain)
+
+    def test_gadget_map_is_frozen(self):
+        for chain in _seeded_chains():
+            chain.vertex_set()
+            spare = next(iter(chain.gadgets.values()))
+            with pytest.raises(TypeError):
+                chain.gadgets[chain.m - 1] = spare
+            with pytest.raises(TypeError):
+                del chain.gadgets[min(chain.gadgets)]
+            assert dict(chain.gadgets) == chain.gadgets
+            assert chain.vertex_set() == _reference_chain_vertices(chain)
+
+    def test_gadget_map_is_copied_at_construction(self, rng):
+        _, chain = random_chain(rng, IdAllocator(), 1, 4, n_gadget_arcs=3)
+        source = dict(chain.gadgets)
+        owned = Chain(spine=chain.spine, gadgets=source)
+        before = owned.vertex_set()
+        source.clear()
+        assert dict(owned.gadgets) == dict(chain.gadgets)
+        assert owned.vertex_set() == before
+
+    def test_vertex_set_stays_a_plain_method(self):
+        # benchmark tracing wraps Chain.vertex_set by name; a property or
+        # a rename would break traced runs
+        assert inspect.isfunction(gadgets.Chain.vertex_set)
+        assert inspect.isfunction(gadgets.Gadget.vertices)
