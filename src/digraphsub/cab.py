@@ -524,14 +524,10 @@ def _grow_and_close(work: Digraph, params: CabParams, budget: SearchBudget, log)
 
     while True:
         budget.charge(1, phase="chain-round", spine=chain.m)
-        chain_vs = chain.vertex_set()
         i0 = max(0, chain.m - params.tail_window)
-        tail_vs = _tail_vertex_set(chain, i0) if i0 > 0 else chain_vs
-        old_vs = chain_vs - tail_vs
-
-        action = _scan(work, chain, chain_vs, old_vs, tail_vs, i0, params, budget, log)
+        action = _scan(work, chain, i0, params, budget, log)
         if action is None:
-            chain = _extend_with_merge(work, chain, chain_vs, params, budget)
+            chain = _extend_with_merge(work, chain, params, budget)
             _log(log, {"event": "extend", "via": "merge", "spine": chain.m})
             continue
         kind, payload = action
@@ -539,15 +535,6 @@ def _grow_and_close(work: Digraph, params: CabParams, budget: SearchBudget, log)
             return payload
         chain = payload
         _log(log, {"event": "extend", "via": kind, "spine": chain.m})
-
-
-def _tail_vertex_set(chain: Chain, i0: int) -> frozenset[int]:
-    """``chain.subchain(i0, chain.m).vertex_set()`` without building the
-    subchain: the spine from ``i0`` on and the gadgets on its arcs."""
-    gadgets = chain.gadgets
-    return frozenset(chain.spine[i0:]).union(
-        *(gadgets[idx].vertices() for idx in range(i0, chain.m) if idx in gadgets)
-    )
 
 
 def _seed_chain(work: Digraph, params: CabParams, budget: SearchBudget) -> Chain | None:
@@ -569,17 +556,17 @@ def _chain_form(gadget: Gadget) -> Gadget:
     return gadget
 
 
-def _scan(work, chain: Chain, chain_vs: frozenset, old_vs: frozenset,
-          tail_vs: frozenset, i0: int, params: CabParams, budget: SearchBudget, log):
+def _scan(work, chain: Chain, i0: int, params: CabParams, budget: SearchBudget, log):
     """One breadth-first pass near the chain's head, entering no chain
     vertex but the head.
 
-    ``chain_vs`` is the chain's vertex set, split into ``tail_vs`` (the
-    spine from index ``i0`` on, with its gadgets) and ``old_vs``.
+    The chain's arc index splits it into its tail (the vertices held by
+    an arc from ``i0`` on) and its old part (every other chain vertex).
     Returns ("cert", certificate) on a closure, (label, chain) on an
     extension, or None when the whole ball yields no move.
     """
     b, g = params.b, params.g
+    index = chain.arc_index()
     vm = chain.spine[-1]
     dist = {vm: 0}
     parent: dict[int, int] = {}
@@ -592,43 +579,32 @@ def _scan(work, chain: Chain, chain_vs: frozenset, old_vs: frozenset,
 
         # an arc from the explored region back into the chain's old part
         # closes the chain immediately
-        if old_vs:
-            x_hit = next((x for x in work.out_nbrs(u) if x in old_vs), None)
+        if i0 > 0:
+            x_hit = next((x for x in work.out_nbrs(u) if index.get(x, i0) < i0), None)
             if x_hit is not None:
-                cert = _close_via_arc(work, chain, parent, u, x_hit, i0, params, log)
+                cert = _close_via_arc(work, chain, parent, u, x_hit, params, log)
                 if cert is not None:
                     return "cert", cert
 
         if u != vm:
             w = parent[u]
             gadget = embed_gadget_i_or_ii(work, w, u, b, g, budget)
-            touched = gadget.vertices() & chain_vs
+            touched = index.keys() & gadget.vertices()
             if touched <= {vm}:
                 grown = _extend_with_fresh_gadget(chain, parent, u, gadget, params)
                 if grown is not None:
                     return "fresh-gadget", grown
-            elif not (gadget.vertices() & tail_vs) and i0 > 0:
-                cert = _close_via_gadget(work, chain, chain_vs, parent, u, gadget, i0, params, log)
+            elif i0 > 0 and all(index[x] < i0 for x in touched):
+                cert = _close_via_gadget(work, chain, parent, u, gadget, params, log)
                 if cert is not None:
                     return "cert", cert
 
         if dist[u] < params.a2_gap:
             for wnext in work.out_nbrs(u):
-                if wnext not in dist and wnext not in chain_vs:
+                if wnext not in dist and wnext not in index:
                     dist[wnext] = dist[u] + 1
                     parent[wnext] = u
                     order.append(wnext)
-    return None
-
-
-def _gadget_index_of(chain: Chain, x: int, below: int) -> int | None:
-    """Largest arc index under ``below`` whose gadget, or plain arc, holds x."""
-    spine, gadgets = chain.spine, chain.gadgets
-    for idx in range(below - 1, -1, -1):
-        gadget = gadgets.get(idx)
-        holds = gadget.vertices() if gadget is not None else (spine[idx], spine[idx + 1])
-        if x in holds:
-            return idx
     return None
 
 
@@ -650,32 +626,23 @@ def _close_from(work, chain: Chain, idx: int, tail: Path, closure, via: str, par
     return cert
 
 
-def _close_via_arc(work, chain, parent, u, x, i0, params, log):
+def _close_via_arc(work, chain, parent, u, x, params, log):
     """Condition-1 closure: u (in the explored region) sends an arc to x
     on the chain's old part."""
-    idx = _gadget_index_of(chain, x, i0)
-    if idx is None:
-        return None
     q_path = path_to(parent, chain.spine[-1], u)
-    return _close_from(work, chain, idx, q_path[1:], Condition1(x=x), "arc", params, log)
+    return _close_from(work, chain, chain.arc_index()[x], q_path[1:], Condition1(x=x),
+                       "arc", params, log)
 
 
-def _close_via_gadget(work, chain, chain_vs, parent, u, gadget, i0, params, log):
+def _close_via_gadget(work, chain, parent, u, gadget, params, log):
     """Condition-2 (dominating) or condition-1 (cycle) closure through a
-    gadget that touches only the chain's old part."""
-    vm = chain.spine[-1]
-    q_path = path_to(parent, vm, u)
+    gadget that touches the chain, and only its old part."""
+    index = chain.arc_index()
+    q_path = path_to(parent, chain.spine[-1], u)
 
     if gadget.kind is GadgetKind.TYPE_II_EXTENDED:
-        touched = gadget.vertices() & (chain_vs - {vm})
-        indices = [
-            found
-            for found in (_gadget_index_of(chain, x, i0) for x in touched)
-            if found is not None
-        ]
-        if not indices:
-            return None
-        return _close_from(work, chain, max(indices), q_path[1:-1],
+        idx = max(index[x] for x in gadget.vertices() if x in index)
+        return _close_from(work, chain, idx, q_path[1:-1],
                            Condition2(zstar=u, gstar=gadget), "dominating-gadget", params, log)
 
     # cycle gadget: ride it from the first fresh-path vertex on it to the
@@ -683,14 +650,11 @@ def _close_via_gadget(work, chain, chain_vs, parent, u, gadget, i0, params, log)
     j, rotated = _rotate_onto_path(gadget.cycle, q_path)
     if j == 0:
         return None
-    hit = next((t for t in range(1, len(rotated)) if rotated[t] in chain_vs), None)
+    hit = next((t for t in range(1, len(rotated)) if rotated[t] in index), None)
     if hit is None:
         return None
     x = rotated[hit]
-    idx = _gadget_index_of(chain, x, i0)
-    if idx is None:
-        return None
-    return _close_from(work, chain, idx, q_path[1:j + 1] + rotated[1:hit],
+    return _close_from(work, chain, index[x], q_path[1:j + 1] + rotated[1:hit],
                        Condition1(x=x), "cycle-gadget", params, log)
 
 
@@ -731,14 +695,15 @@ def _extend_with_fresh_gadget(chain: Chain, parent, u, gadget: Gadget, params: C
     return trial
 
 
-def _extend_with_merge(work: Digraph, chain: Chain, chain_vs: frozenset, params: CabParams,
+def _extend_with_merge(work: Digraph, chain: Chain, params: CabParams,
                        budget: SearchBudget) -> Chain:
     """Append a merge gadget grown from the chain's head in ``work`` with
     every arc at another chain vertex cut off."""
+    index = chain.arc_index()
     vm = chain.spine[-1]
-    gone = chain_vs - {vm}
     host = Digraph(work.n, tuple(
-        () if v in gone else tuple(w for w in work.out_nbrs(v) if w not in gone)
+        () if v != vm and v in index
+        else tuple(w for w in work.out_nbrs(v) if w == vm or w not in index)
         for v in work.vertices()
     ))
     p0, gadget = embed_gadget_iii(host, vm, params.b, params.h, params.d, budget)

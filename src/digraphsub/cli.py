@@ -36,7 +36,7 @@ from .core import (
     transitive_tournament,
     write_edge_list,
 )
-from .errors import BadParams, BudgetExceeded, DegeneratePattern, DigraphError, ParseError
+from .errors import BadParams, BudgetExceeded, DegeneratePattern, DigraphError, ParseError, PreconditionViolated
 from .k3e import find_k3e
 from .mader import CSV_HEADER, lower_witness, verify_upper
 from .menger import strong_arc_connectivity
@@ -103,7 +103,7 @@ def _dispatch_find(d: Digraph, spec: str, budget: int, seed, log: list):
     if name == "k3e":
         try:
             return find_k3e(d, trace=log), pattern
-        except DigraphError as exc:
+        except PreconditionViolated as exc:
             return NotFound("precondition", {"why": str(exc)}), pattern
     return (
         find_oriented_cycle_subdivision(d, pattern, SearchBudget(budget), seed=seed, log=log),
@@ -165,7 +165,7 @@ def cmd_verify(args) -> int:
         def finder(d):
             try:
                 return find_k3e(d)
-            except DigraphError:
+            except PreconditionViolated:
                 return None
     elif args.pattern.startswith("twoblock:"):
         _, (k1, k2) = _split_spec(args.pattern)

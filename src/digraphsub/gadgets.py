@@ -341,7 +341,7 @@ class Chain:
     its gadget; indices absent from the map are plain arcs.  Gadgets
     meet the spine only at their own arc's endpoints and meet each other
     only on the spine.  The map is copied into a read-only view at
-    construction, so the vertex set cached by ``vertex_set`` stays true.
+    construction, so the index kept by ``arc_index`` stays true.
     """
 
     spine: Path
@@ -370,29 +370,52 @@ class Chain:
             return got
         return trivial_gadget(self.spine[idx], self.spine[idx + 1])
 
+    def arc_index(self) -> Mapping[int, int]:
+        """Each chain vertex mapped to the largest arc index holding it:
+        spine[j] to min(j, m - 1), a gadget's other vertices to its arc.
+        Built on the first call and kept, read-only."""
+        index = self.__dict__.get("_arc_index")
+        if index is None:
+            spine, built = self.spine, {}
+            for idx in range(self.m):
+                built.update(dict.fromkeys(spine[idx : idx + 2], idx))
+                if idx in self.gadgets:
+                    built.update(dict.fromkeys(self.gadgets[idx].vertices(), idx))
+            index = self._keep_index(built)
+        return index
+
     def vertex_set(self) -> frozenset[int]:
         """Spine and gadget vertices, built on the first call and kept."""
         vs = self.__dict__.get("_vertex_set")
         if vs is None:
-            vs = frozenset(self.spine).union(*(g.vertices() for g in self.gadgets.values()))
+            vs = frozenset(self.arc_index())
             object.__setattr__(self, "_vertex_set", vs)
         return vs
+
+    def _keep_index(self, built: dict[int, int]) -> Mapping[int, int]:
+        index = MappingProxyType(built)
+        object.__setattr__(self, "_arc_index", index)
+        return index
 
     def extended(self, lead: Path, gadget: Gadget) -> "Chain | None":
         """This chain's spine continued by the dipath ``lead``, which ends
         at the gadget's p, then by its q, with the gadget on that last arc;
         None when the new spine repeats a vertex.
 
-        A vertex set already built here seeds the new chain's, so a chain
-        grown arc by arc never rebuilds the union of all its gadgets.
+        An arc index already built here seeds the new chain's, so a chain
+        grown arc by arc never rebuilds it from all its gadgets.
         """
         spine = self.spine + lead + (gadget.q,)
         if len(set(spine)) != len(spine):
             return None
-        chain = Chain(spine=spine, gadgets={**self.gadgets, len(spine) - 2: gadget})
-        vs = self.__dict__.get("_vertex_set")
-        if vs is not None:
-            object.__setattr__(chain, "_vertex_set", vs.union(lead, gadget.vertices()))
+        last = len(spine) - 2
+        chain = Chain(spine=spine, gadgets={**self.gadgets, last: gadget})
+        index = self.__dict__.get("_arc_index")
+        if index is not None:
+            built = index.copy()
+            built.update((spine[j], j) for j in range(self.m, last + 1))
+            built.update(dict.fromkeys(gadget.vertices(), last))
+            chain._keep_index(built)
         return chain
 
     def subchain(self, i: int, j: int) -> "Chain":

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from digraphsub import cab, synthetic
+from digraphsub import cab, gadgets, synthetic
 from digraphsub.cab import (
     embed_gadget_i_or_ii,
     embed_gadget_iii,
@@ -29,7 +29,7 @@ from digraphsub.errors import (
     PropertyViolated,
     RetriesExhausted,
 )
-from digraphsub.gadgets import CabParams, GadgetKind, validate_gadget
+from digraphsub.gadgets import CabParams, Chain, GadgetKind, validate_gadget
 from digraphsub.oracle import (
     ContractionRecord,
     SearchBudget,
@@ -253,18 +253,75 @@ def _lookup_chains():
         yield chain.extended((), synthetic.make_gadget(rng, alloc, kind, b, 4 * b * b, p=chain.spine[-1])[1])
 
 
+def _reference_chain_vertices(chain):
+    return set(chain.spine).union(*(g.vertices() for g in chain.gadgets.values()))
+
+
 class TestChainLookups:
     def test_gadget_index_of_matches_reference(self):
+        # the index holds each vertex's largest arc; below any bound over
+        # that arc, the largest arc under the bound is the same one
         for chain in _lookup_chains():
-            xs = sorted(chain.vertex_set()) + [max(chain.vertex_set()) + 1]
-            for below in range(chain.m + 1):
-                for x in xs:
-                    assert cab._gadget_index_of(chain, x, below) == _reference_gadget_index_of(chain, x, below)
+            index = chain.arc_index()
+            absent = max(chain.vertex_set()) + 1
+            assert index.get(absent) is None
+            for x in chain.vertex_set():
+                assert index[x] == _reference_gadget_index_of(chain, x, chain.m)
+                for below in range(index[x] + 1, chain.m + 1):
+                    assert _reference_gadget_index_of(chain, x, below) == index[x]
 
     def test_tail_vertex_set_matches_subchain(self):
         for chain in _lookup_chains():
-            for i0 in range(1, chain.m):
-                assert cab._tail_vertex_set(chain, i0) == chain.subchain(i0, chain.m).vertex_set()
+            index = chain.arc_index()
+            for i0 in range(chain.m):
+                sub = chain.subchain(i0, chain.m)
+                tail = {x for x in index if index[x] >= i0}
+                assert tail == sub.vertex_set() == _reference_chain_vertices(sub)
+
+    def test_extended_seeds_the_fresh_index(self, rng):
+        for chain in _lookup_chains():
+            alloc = synthetic.IdAllocator(max(chain.vertex_set()) + 1)
+            seeded = chain
+            for kind in (GadgetKind.TYPE_I, GadgetKind.TYPE_II_BASIC, GadgetKind.TYPE_III):
+                lead = tuple(alloc.take(rng.randrange(3)))
+                p = lead[-1] if lead else seeded.spine[-1]
+                seeded.arc_index()
+                seeded = seeded.extended(lead, synthetic.make_gadget(rng, alloc, kind, 1, 4, p=p)[1])
+                fresh = Chain(spine=seeded.spine, gadgets=seeded.gadgets)
+                assert dict(seeded.arc_index()) == dict(fresh.arc_index())
+                assert seeded.vertex_set() == _reference_chain_vertices(seeded)
+
+    def test_index_is_kept(self):
+        for chain in _lookup_chains():
+            assert chain.arc_index() is chain.arc_index()
+
+    def test_index_is_read_only(self):
+        for chain in _lookup_chains():
+            with pytest.raises(TypeError):
+                chain.arc_index()[chain.spine[0]] = chain.m
+
+
+class TestGrowthRoundCopies:
+    def test_rounds_ask_no_chain_vertex_set(self, monkeypatch):
+        # a round that rebuilt or copied the chain's vertex set would leave
+        # every certificate, and so the golden hash, unchanged
+        calls = {"vertex_set": 0, "close_chain": 0}
+        vertex_set, close_chain = gadgets.Chain.vertex_set, cab.close_chain
+
+        def counted_vertex_set(self):
+            calls["vertex_set"] += 1
+            return vertex_set(self)
+
+        def counted_close_chain(*args, **kwargs):
+            calls["close_chain"] += 1
+            return close_chain(*args, **kwargs)
+
+        monkeypatch.setattr(gadgets.Chain, "vertex_set", counted_vertex_set)
+        monkeypatch.setattr(cab, "close_chain", counted_close_chain)
+        log = []
+        find_cab(synthetic.ring_of_cycle_gadgets(64), 2, 1, log=log)
+        assert sum(e["event"] == "extend" for e in log) > 60
+        assert calls["vertex_set"] <= calls["close_chain"]
 
 
 class TestFindCabWiredHosts:

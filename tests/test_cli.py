@@ -2,16 +2,18 @@ import json
 
 import pytest
 
+from digraphsub import cli
 from digraphsub.cli import build_parser, main, parse_pattern
 from digraphsub.core import (
     MAX_VERTICES,
     bioriented_clique,
+    build_digraph,
     directed_cycle,
     k3_minus_e,
     pattern_cab,
     write_edge_list,
 )
-from digraphsub.errors import BadParams, DegeneratePattern
+from digraphsub.errors import BadParams, DegeneratePattern, InvariantViolation
 from digraphsub.oracle import DEFAULT_BUDGET
 
 
@@ -102,6 +104,31 @@ class TestFind:
         log = tmp_path / "run.jsonl"
         assert main(["find", "--pattern", spec, "--in", str(host), "--log", str(log)]) == 0
         assert [json.loads(line) for line in log.read_text().splitlines() if line]
+
+    def test_k3e_host_with_a_sink_exit_1(self, tmp_path, capsys):
+        host = tmp_path / "sink.edges"
+        host.write_text(write_edge_list(build_digraph(3, [(0, 1), (1, 0), (0, 2), (1, 2)])))
+        assert main(["find", "--pattern", "k3e", "--in", str(host)]) == 1
+        assert "not found: precondition" in capsys.readouterr().out
+
+
+class TestK3eBugsStayLoud:
+    # only a failed degree precondition is a miss; any other error from
+    # find_k3e is a library bug and must reach the caller
+    @pytest.fixture
+    def broken_k3e(self, monkeypatch):
+        def find_k3e(d, v0=None, trace=None):
+            raise InvariantViolation("planted")
+
+        monkeypatch.setattr(cli, "find_k3e", find_k3e)
+
+    def test_find_propagates(self, broken_k3e, bivec_k3_file):
+        with pytest.raises(InvariantViolation, match="planted"):
+            main(["find", "--pattern", "k3e", "--in", bivec_k3_file])
+
+    def test_verify_propagates(self, broken_k3e):
+        with pytest.raises(InvariantViolation, match="planted"):
+            main(["verify", "--pattern", "k3e", "--k", "2", "--n-max", "3"])
 
 
 class TestCheck:

@@ -125,13 +125,15 @@ class TestValidateCertificate:
             paths={(0, 1): (0, 2, 1), (1, 0): (1, 0)},
         )
         assert validate_certificate(host, pattern, bad)
+        # both paths exist in this host and share their interior vertex 2
+        host = build_digraph(3, [(0, 2), (2, 1), (1, 2), (2, 0)])
         worse = SubdivisionCertificate(
             branch={0: 0, 1: 1},
             paths={(0, 1): (0, 2, 1), (1, 0): (1, 2, 0)},
         )
         report = validate_certificate(host, pattern, worse)
         assert not report.ok
-        assert "overlap" in report.violation or "absent" in report.violation
+        assert report.violation == "internal overlap"
 
     def test_missing_arc_detected(self):
         host, pattern, cert = self._good()
