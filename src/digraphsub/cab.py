@@ -515,33 +515,78 @@ def _trim(work: Digraph, k: int, log) -> Digraph:
     return Digraph(work.n, tuple(work.out_nbrs(v)[:k] for v in work.vertices()))
 
 
+class _Growth:
+    """The chain under growth, kept so that an extension touches only
+    the entries it adds.
+
+    ``spine`` and ``gadgets`` are the chain's spine and gadget map,
+    ``on_spine`` holds the spine's vertices, and ``index`` maps each
+    chain vertex to the largest arc index holding it: spine[j] to
+    min(j, m - 1), a gadget's other vertices to its arc.  A closure
+    attempt takes a plain ``Chain`` from ``cut``.
+    """
+
+    def __init__(self, head: int):
+        self.spine = [head]
+        self.on_spine = {head}
+        self.gadgets: dict[int, Gadget] = {}
+        self.index: dict[int, int] = {}
+
+    @property
+    def m(self) -> int:
+        return len(self.spine) - 1
+
+    def extend(self, lead: Path, gadget: Gadget) -> bool:
+        """Continue the spine by the dipath ``lead``, which ends at the
+        gadget's p, then by its q, with the gadget on that last arc;
+        False, and nothing changed, when the spine would repeat a vertex."""
+        added = lead + (gadget.q,)
+        if len(set(added)) != len(added) or not self.on_spine.isdisjoint(added):
+            return False
+        first = self.m
+        self.spine.extend(added)
+        self.on_spine.update(added)
+        last = self.m - 1
+        self.gadgets[last] = gadget
+        self.index.update((self.spine[j], j) for j in range(first, last + 1))
+        self.index.update(dict.fromkeys(gadget.vertices(), last))
+        return True
+
+    def cut(self, idx: int, tail: Path) -> Chain:
+        """The chain from spine index ``idx`` on, its spine continued by
+        ``tail``."""
+        return Chain(
+            spine=tuple(self.spine[idx:]) + tail,
+            gadgets={i - idx: g for i, g in self.gadgets.items() if i >= idx},
+        )
+
+
 def _grow_and_close(work: Digraph, params: CabParams, budget: SearchBudget, log):
     """Certificate on ``work``, or None when no arc seeds a chain."""
-    chain = _seed_chain(work, params, budget)
-    if chain is None:
+    growth = _seed_chain(work, params, budget)
+    if growth is None:
         return None
-    _log(log, {"event": "extend", "via": "seed", "spine": chain.m})
+    _log(log, {"event": "extend", "via": "seed", "spine": growth.m})
 
     while True:
-        budget.charge(1, phase="chain-round", spine=chain.m)
-        i0 = max(0, chain.m - params.tail_window)
-        action = _scan(work, chain, i0, params, budget, log)
+        budget.charge(1, phase="chain-round", spine=growth.m)
+        i0 = max(0, growth.m - params.tail_window)
+        action = _scan(work, growth, i0, params, budget, log)
+        if isinstance(action, SubdivisionCertificate):
+            return action
         if action is None:
-            chain = _extend_with_merge(work, chain, params, budget)
-            _log(log, {"event": "extend", "via": "merge", "spine": chain.m})
-            continue
-        kind, payload = action
-        if kind == "cert":
-            return payload
-        chain = payload
-        _log(log, {"event": "extend", "via": kind, "spine": chain.m})
+            _extend_with_merge(work, growth, params, budget)
+            action = "merge"
+        _log(log, {"event": "extend", "via": action, "spine": growth.m})
 
 
-def _seed_chain(work: Digraph, params: CabParams, budget: SearchBudget) -> Chain | None:
+def _seed_chain(work: Digraph, params: CabParams, budget: SearchBudget) -> _Growth | None:
     for u in work.vertices():
         for v in work.out_nbrs(u):
             gadget = embed_gadget_i_or_ii(work, u, v, params.b, params.g, budget)
-            return Chain(spine=(u, v), gadgets={0: _chain_form(gadget)})
+            growth = _Growth(u)
+            growth.extend((), _chain_form(gadget))
+            return growth
     return None
 
 
@@ -556,18 +601,18 @@ def _chain_form(gadget: Gadget) -> Gadget:
     return gadget
 
 
-def _scan(work, chain: Chain, i0: int, params: CabParams, budget: SearchBudget, log):
+def _scan(work, growth: _Growth, i0: int, params: CabParams, budget: SearchBudget, log):
     """One breadth-first pass near the chain's head, entering no chain
     vertex but the head.
 
-    The chain's arc index splits it into its tail (the vertices held by
-    an arc from ``i0`` on) and its old part (every other chain vertex).
-    Returns ("cert", certificate) on a closure, (label, chain) on an
-    extension, or None when the whole ball yields no move.
+    The growth index splits the chain into its tail (the vertices held
+    by an arc from ``i0`` on) and its old part (every other chain
+    vertex).  Returns a certificate on a closure, the label of an
+    extension made in place, or None when the whole ball yields no move.
     """
     b, g = params.b, params.g
-    index = chain.arc_index()
-    vm = chain.spine[-1]
+    index = growth.index
+    vm = growth.spine[-1]
     dist = {vm: 0}
     parent: dict[int, int] = {}
     order = [vm]
@@ -575,29 +620,28 @@ def _scan(work, chain: Chain, i0: int, params: CabParams, budget: SearchBudget, 
     while qi < len(order):
         u = order[qi]
         qi += 1
-        budget.charge(1, phase="scan", spine=chain.m)
+        budget.charge(1, phase="scan", spine=growth.m)
 
         # an arc from the explored region back into the chain's old part
         # closes the chain immediately
         if i0 > 0:
             x_hit = next((x for x in work.out_nbrs(u) if index.get(x, i0) < i0), None)
             if x_hit is not None:
-                cert = _close_via_arc(work, chain, parent, u, x_hit, params, log)
+                cert = _close_via_arc(work, growth, parent, u, x_hit, params, log)
                 if cert is not None:
-                    return "cert", cert
+                    return cert
 
         if u != vm:
             w = parent[u]
             gadget = embed_gadget_i_or_ii(work, w, u, b, g, budget)
             touched = index.keys() & gadget.vertices()
             if touched <= {vm}:
-                grown = _extend_with_fresh_gadget(chain, parent, u, gadget, params)
-                if grown is not None:
-                    return "fresh-gadget", grown
+                if _extend_with_fresh_gadget(growth, parent, u, gadget, params):
+                    return "fresh-gadget"
             elif i0 > 0 and all(index[x] < i0 for x in touched):
-                cert = _close_via_gadget(work, chain, parent, u, gadget, params, log)
+                cert = _close_via_gadget(work, growth, parent, u, gadget, params, log)
                 if cert is not None:
-                    return "cert", cert
+                    return cert
 
         if dist[u] < params.a2_gap:
             for wnext in work.out_nbrs(u):
@@ -608,14 +652,13 @@ def _scan(work, chain: Chain, i0: int, params: CabParams, budget: SearchBudget, 
     return None
 
 
-def _close_from(work, chain: Chain, idx: int, tail: Path, closure, via: str, params, log):
+def _close_from(work, growth: _Growth, idx: int, tail: Path, closure, via: str, params, log):
     """Close the chain cut at spine index ``idx`` and extended by ``tail``.
 
     Returns the certificate, or None when the extended spine repeats a
     vertex or ``close_chain`` rejects the closure.
     """
-    sub = chain.subchain(idx, chain.m)
-    trial = Chain(spine=sub.spine + tail, gadgets=sub.gadgets)
+    trial = growth.cut(idx, tail)
     if len(set(trial.spine)) != len(trial.spine):
         return None
     try:
@@ -626,23 +669,23 @@ def _close_from(work, chain: Chain, idx: int, tail: Path, closure, via: str, par
     return cert
 
 
-def _close_via_arc(work, chain, parent, u, x, params, log):
+def _close_via_arc(work, growth, parent, u, x, params, log):
     """Condition-1 closure: u (in the explored region) sends an arc to x
     on the chain's old part."""
-    q_path = path_to(parent, chain.spine[-1], u)
-    return _close_from(work, chain, chain.arc_index()[x], q_path[1:], Condition1(x=x),
+    q_path = path_to(parent, growth.spine[-1], u)
+    return _close_from(work, growth, growth.index[x], q_path[1:], Condition1(x=x),
                        "arc", params, log)
 
 
-def _close_via_gadget(work, chain, parent, u, gadget, params, log):
+def _close_via_gadget(work, growth, parent, u, gadget, params, log):
     """Condition-2 (dominating) or condition-1 (cycle) closure through a
     gadget that touches the chain, and only its old part."""
-    index = chain.arc_index()
-    q_path = path_to(parent, chain.spine[-1], u)
+    index = growth.index
+    q_path = path_to(parent, growth.spine[-1], u)
 
     if gadget.kind is GadgetKind.TYPE_II_EXTENDED:
         idx = max(index[x] for x in gadget.vertices() if x in index)
-        return _close_from(work, chain, idx, q_path[1:-1],
+        return _close_from(work, growth, idx, q_path[1:-1],
                            Condition2(zstar=u, gstar=gadget), "dominating-gadget", params, log)
 
     # cycle gadget: ride it from the first fresh-path vertex on it to the
@@ -654,7 +697,7 @@ def _close_via_gadget(work, chain, parent, u, gadget, params, log):
     if hit is None:
         return None
     x = rotated[hit]
-    return _close_from(work, chain, index[x], q_path[1:j + 1] + rotated[1:hit],
+    return _close_from(work, growth, index[x], q_path[1:j + 1] + rotated[1:hit],
                        Condition1(x=x), "cycle-gadget", params, log)
 
 
@@ -667,40 +710,42 @@ def _rotate_onto_path(cyc: Path, q_path: Path) -> tuple[int, Path]:
     return j, cyc[start:] + cyc[:start]
 
 
-def _extend_with_fresh_gadget(chain: Chain, parent, u, gadget: Gadget, params: CabParams):
-    """Append the explored path and a fresh gadget to the chain."""
-    q_path = path_to(parent, chain.spine[-1], u)
+def _extend_with_fresh_gadget(growth: _Growth, parent, u, gadget: Gadget, params: CabParams) -> bool:
+    """Append the explored path and a fresh gadget to the chain; False
+    when the chain cannot take them."""
+    q_path = path_to(parent, growth.spine[-1], u)
 
     if gadget.kind is GadgetKind.TYPE_II_EXTENDED:
-        basic = _chain_form(gadget)
-        if basic.vertices() & set(q_path) != {q_path[-2], u}:
-            return None
-        trial = chain.extended(q_path[1:-1], basic)
+        gadget = _chain_form(gadget)
+        if gadget.vertices() & set(q_path) != {q_path[-2], u}:
+            return False
+        lead = q_path[1:-1]
     else:
         # anchor the cycle at the first explored-path vertex it touches;
         # that may be the chain's head itself
         j, rotated = _rotate_onto_path(gadget.cycle, q_path)
         if rotated[1] in q_path[:j]:
-            return None
-        reanchored = Gadget(kind=GadgetKind.TYPE_I, p=rotated[0], q=rotated[1], cycle=rotated)
-        trial = chain.extended(q_path[1 : j + 1], reanchored)
+            return False
+        gadget = Gadget(kind=GadgetKind.TYPE_I, p=rotated[0], q=rotated[1], cycle=rotated)
+        lead = q_path[1 : j + 1]
 
-    if trial is None:
-        return None
-    last = trial.gadgets[trial.m - 1]
-    if len(last.vertices()) > params.max_gadget_size:
-        return None
-    if last.vertices() & set(trial.spine) != {trial.spine[-2], trial.spine[-1]}:
-        return None
-    return trial
+    if len(gadget.vertices()) > params.max_gadget_size:
+        return False
+    # the gadget may meet the extended spine only at its own arc
+    added = set(lead)
+    added.add(gadget.q)
+    met = {x for x in gadget.vertices() if x in added or x in growth.on_spine}
+    if met != {lead[-1] if lead else growth.spine[-1], gadget.q}:
+        return False
+    return growth.extend(lead, gadget)
 
 
-def _extend_with_merge(work: Digraph, chain: Chain, params: CabParams,
-                       budget: SearchBudget) -> Chain:
+def _extend_with_merge(work: Digraph, growth: _Growth, params: CabParams,
+                       budget: SearchBudget) -> None:
     """Append a merge gadget grown from the chain's head in ``work`` with
     every arc at another chain vertex cut off."""
-    index = chain.arc_index()
-    vm = chain.spine[-1]
+    index = growth.index
+    vm = growth.spine[-1]
     host = Digraph(work.n, tuple(
         () if v != vm and v in index
         else tuple(w for w in work.out_nbrs(v) if w == vm or w not in index)
@@ -709,10 +754,8 @@ def _extend_with_merge(work: Digraph, chain: Chain, params: CabParams,
     p0, gadget = embed_gadget_iii(host, vm, params.b, params.h, params.d, budget)
     if p0[0] != vm or p0[-1] != gadget.p:
         raise InvariantViolation("merge path does not join the chain's head to the gadget")
-    trial = chain.extended(p0[1:], gadget)
-    if trial is None:
+    if not growth.extend(p0[1:], gadget):
         raise InvariantViolation("merge extension re-used a spine vertex")
-    return trial
 
 
 # ---------------------------------------------------------------------------

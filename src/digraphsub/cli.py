@@ -36,11 +36,20 @@ from .core import (
     transitive_tournament,
     write_edge_list,
 )
-from .errors import BadParams, BudgetExceeded, DegeneratePattern, DigraphError, ParseError, PreconditionViolated
+from .errors import (
+    BadParams,
+    BudgetExceeded,
+    DegeneratePattern,
+    EmptyGraph,
+    ParseError,
+    PreconditionViolated,
+    PropertyMismatch,
+    TooLarge,
+)
 from .k3e import find_k3e
 from .mader import CSV_HEADER, lower_witness, verify_upper
 from .menger import strong_arc_connectivity
-from .oracle import DEFAULT_BUDGET, SearchBudget, SubdivisionCertificate, require_valid, validate_certificate
+from .oracle import DEFAULT_BUDGET, SubdivisionCertificate, require_valid, validate_certificate
 from .outcome import NotFound
 from .two_block import find_two_block
 
@@ -97,16 +106,16 @@ def _dispatch_find(d: Digraph, spec: str, budget: int, seed, log: list):
     pattern = parse_pattern(spec)
     name, nums = _split_spec(spec)
     if name == "cab":
-        return find_cab(d, *nums, SearchBudget(budget), log=log), pattern
+        return find_cab(d, *nums, budget, log=log), pattern
     if name == "twoblock":
-        return find_two_block(d, *nums, SearchBudget(budget), log=log), pattern
+        return find_two_block(d, *nums, budget, log=log), pattern
     if name == "k3e":
         try:
             return find_k3e(d, trace=log), pattern
         except PreconditionViolated as exc:
             return NotFound("precondition", {"why": str(exc)}), pattern
     return (
-        find_oriented_cycle_subdivision(d, pattern, SearchBudget(budget), seed=seed, log=log),
+        find_oriented_cycle_subdivision(d, pattern, budget, seed=seed, log=log),
         pattern,
     )
 
@@ -171,7 +180,7 @@ def cmd_verify(args) -> int:
         _, (k1, k2) = _split_spec(args.pattern)
 
         def finder(d):
-            out = find_two_block(d, k1, k2, SearchBudget(args.budget))
+            out = find_two_block(d, k1, k2, args.budget)
             return None if isinstance(out, NotFound) else out
 
     report = verify_upper(
@@ -199,7 +208,7 @@ def cmd_verify(args) -> int:
 def cmd_construct(args) -> int:
     try:
         block = load_building_block(FsPath(args.block).read_text())
-    except (ParseError, OSError, DigraphError) as exc:
+    except (ParseError, PropertyMismatch, EmptyGraph, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -207,7 +216,7 @@ def cmd_construct(args) -> int:
             host, layout = join_no_k4(block)
         else:
             host, layout = join_no_s4(block)
-    except DigraphError as exc:
+    except PropertyMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     comment = f"family: {args.family}, block vertices: {block.graph.n}"
@@ -310,7 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except TooLarge as exc:  # a size past what exhaustive search allows
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from .core import (
     read_edge_list,
 )
 from .errors import BudgetExceeded, ParseError, PropertyMismatch
-from .oracle import SearchBudget, contains_subdivision, has_even_dicycle
+from .oracle import contains_subdivision, has_even_dicycle
 
 
 class BlockProperty(Enum):
@@ -48,9 +48,9 @@ class BuildingBlock:
         default budget; ``PropertyMismatch`` otherwise."""
         try:
             if claimed is BlockProperty.NO_EVEN_DICYCLE:
-                verified = not has_even_dicycle(graph, SearchBudget())
+                verified = not has_even_dicycle(graph)
             else:
-                verified = contains_subdivision(graph, bioriented_star(3), SearchBudget()) is None
+                verified = contains_subdivision(graph, bioriented_star(3)) is None
         except BudgetExceeded:
             verified = False
         if not verified:

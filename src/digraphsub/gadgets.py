@@ -17,10 +17,8 @@ returning it.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from types import MappingProxyType
 
 from .core import AdjView, Path, bfs_path, pattern_cab
 from .cycle_embed import certificate_from_cycle
@@ -329,6 +327,14 @@ def dipath_as_alt_path(path: Path, b: int) -> AlternatingPath:
     return make_alt_path((path[0],), (path[-1],), (tuple(path),), (), b)
 
 
+def _loop_alt_path(back: Path, b: int) -> AlternatingPath:
+    """The (2, b)-alternating path whose Q_1 and Q_2 have length zero and
+    whose one back piece Q'_1 is the dipath ``back``: s = t = (back[-1],
+    back[0])."""
+    ends = (back[-1], back[0])
+    return make_alt_path(ends, ends, ((back[-1],), (back[0],)), (back,), b)
+
+
 # ---------------------------------------------------------------------------
 # chains
 # ---------------------------------------------------------------------------
@@ -340,22 +346,11 @@ class Chain:
     ``gadgets`` maps an arc index i (the arc spine[i] -> spine[i+1]) to
     its gadget; indices absent from the map are plain arcs.  Gadgets
     meet the spine only at their own arc's endpoints and meet each other
-    only on the spine.  The map is copied into a read-only view at
-    construction, so the index kept by ``arc_index`` stays true.
+    only on the spine.
     """
 
     spine: Path
-    gadgets: Mapping[int, Gadget]
-
-    def __post_init__(self):
-        object.__setattr__(self, "gadgets", MappingProxyType(dict(self.gadgets)))
-
-    # a mappingproxy neither prints as the dict it wraps nor pickles
-    def __repr__(self) -> str:
-        return f"Chain(spine={self.spine!r}, gadgets={dict(self.gadgets)!r})"
-
-    def __reduce__(self):
-        return Chain, (self.spine, dict(self.gadgets))
+    gadgets: dict[int, Gadget]
 
     @property
     def m(self) -> int:
@@ -370,53 +365,9 @@ class Chain:
             return got
         return trivial_gadget(self.spine[idx], self.spine[idx + 1])
 
-    def arc_index(self) -> Mapping[int, int]:
-        """Each chain vertex mapped to the largest arc index holding it:
-        spine[j] to min(j, m - 1), a gadget's other vertices to its arc.
-        Built on the first call and kept, read-only."""
-        index = self.__dict__.get("_arc_index")
-        if index is None:
-            spine, built = self.spine, {}
-            for idx in range(self.m):
-                built.update(dict.fromkeys(spine[idx : idx + 2], idx))
-                if idx in self.gadgets:
-                    built.update(dict.fromkeys(self.gadgets[idx].vertices(), idx))
-            index = self._keep_index(built)
-        return index
-
     def vertex_set(self) -> frozenset[int]:
-        """Spine and gadget vertices, built on the first call and kept."""
-        vs = self.__dict__.get("_vertex_set")
-        if vs is None:
-            vs = frozenset(self.arc_index())
-            object.__setattr__(self, "_vertex_set", vs)
-        return vs
-
-    def _keep_index(self, built: dict[int, int]) -> Mapping[int, int]:
-        index = MappingProxyType(built)
-        object.__setattr__(self, "_arc_index", index)
-        return index
-
-    def extended(self, lead: Path, gadget: Gadget) -> "Chain | None":
-        """This chain's spine continued by the dipath ``lead``, which ends
-        at the gadget's p, then by its q, with the gadget on that last arc;
-        None when the new spine repeats a vertex.
-
-        An arc index already built here seeds the new chain's, so a chain
-        grown arc by arc never rebuilds it from all its gadgets.
-        """
-        spine = self.spine + lead + (gadget.q,)
-        if len(set(spine)) != len(spine):
-            return None
-        last = len(spine) - 2
-        chain = Chain(spine=spine, gadgets={**self.gadgets, last: gadget})
-        index = self.__dict__.get("_arc_index")
-        if index is not None:
-            built = index.copy()
-            built.update((spine[j], j) for j in range(self.m, last + 1))
-            built.update(dict.fromkeys(gadget.vertices(), last))
-            chain._keep_index(built)
-        return chain
+        """Spine and gadget vertices."""
+        return frozenset(self.spine).union(*(g.vertices() for g in self.gadgets.values()))
 
     def subchain(self, i: int, j: int) -> "Chain":
         """Chain on spine[i..j] inheriting the gadgets of inner arcs."""
@@ -464,14 +415,7 @@ def base_alt_path(gadget: Gadget, b: int) -> AlternatingPath:
     """The canonical (2, b)-alternating path inside a cycle or dominating
     gadget: it starts and ends its first piece at p and finishes at q."""
     if gadget.kind is GadgetKind.TYPE_I:
-        back = gadget.cycle[1:] + (gadget.p,)  # q .. p, the cycle minus (p, q)
-        return make_alt_path(
-            s=(gadget.p, gadget.q),
-            t=(gadget.p, gadget.q),
-            q_paths=((gadget.p,), (gadget.q,)),
-            qp_paths=(back,),
-            b=b,
-        )
+        return _loop_alt_path(gadget.cycle[1:] + (gadget.p,), b)  # q .. p, the cycle minus (p, q)
     if gadget.kind in (GadgetKind.TYPE_II_BASIC, GadgetKind.TYPE_II_EXTENDED):
         return make_alt_path(
             s=(gadget.p, gadget.r),
@@ -525,11 +469,7 @@ def extended_exit_path(gadget: Gadget, targets, b: int) -> AlternatingPath:
         if x not in p2:
             raise BadTarget(f"{x} is not a gadget vertex off the pair")
         ix = p2.index(x)
-        back = p2[ix:] + p1[1:]  # x .. r .. p
-        return make_alt_path(
-            s=(gadget.p, x), t=(gadget.p, x),
-            q_paths=((gadget.p,), (x,)), qp_paths=(back,), b=b,
-        )
+        return _loop_alt_path(p2[ix:] + p1[1:], b)  # x .. r .. p
 
     z = p2[0]
     pos = {v: i for i, v in enumerate(p1)}
@@ -562,11 +502,7 @@ def extended_exit_path(gadget: Gadget, targets, b: int) -> AlternatingPath:
             s=(gadget.q, w), t=(gadget.q, x),
             q_paths=((gadget.q,), q2), qp_paths=(qp,), b=b,
         )
-    qp = p1[ix : iw + 1] + p2 + (gadget.q,)  # x .. w, z .. r, q
-    return make_alt_path(
-        s=(gadget.q, x), t=(gadget.q, x),
-        q_paths=((gadget.q,), (x,)), qp_paths=(qp,), b=b,
-    )
+    return _loop_alt_path(p1[ix : iw + 1] + p2 + (gadget.q,), b)  # x .. w, z .. r, q
 
 
 # ---------------------------------------------------------------------------
@@ -750,12 +686,7 @@ def _intersection_with_merge(g: Gadget, gstar: Gadget, inter, b: int) -> Alterna
     ]
     if far:
         spoke, i = min((spoke_of[v] for v in far), key=lambda si: (si[1], si[0]))
-        head = spoke[0]
-        back = spoke[: i + 1] + (gstar.q,)
-        return make_alt_path(
-            s=(gstar.q, head), t=(gstar.q, head),
-            q_paths=((gstar.q,), (head,)), qp_paths=(back,), b=b,
-        )
+        return _loop_alt_path(spoke[: i + 1] + (gstar.q,), b)
 
     if not (inter & set(gstar.p2)):
         # intersection confined to the interior of gstar's P1
@@ -794,12 +725,7 @@ def _intersection_with_merge(g: Gadget, gstar: Gadget, inter, b: int) -> Alterna
     u, v_last = best[0], best[-1]
     ret = best if v_last == gstar.p else best + (gstar.q,)
     spoke, i = spoke_of[u]
-    head = spoke[0]
-    back = spoke[: i + 1] + ret[1:]
-    return make_alt_path(
-        s=(ret[-1], head), t=(ret[-1], head),
-        q_paths=((ret[-1],), (head,)), qp_paths=(back,), b=b,
-    )
+    return _loop_alt_path(spoke[: i + 1] + ret[1:], b)
 
 
 # ---------------------------------------------------------------------------

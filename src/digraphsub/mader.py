@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 from .core import Digraph, bioriented_clique, build_digraph
 from .errors import BudgetExceeded, InvariantViolation, TooLarge
-from .oracle import DEFAULT_BUDGET, SearchBudget, contains_subdivision, require_valid
+from .oracle import DEFAULT_BUDGET, contains_subdivision, require_valid
 
 EXHAUSTIVE_LIMIT = 5
 
@@ -154,8 +154,12 @@ def verify_upper(
     ``finder``, when supplied, must return a certificate or a falsy
     miss; its certificates are re-validated and any miss is re-checked
     against the oracle before being reported as a counterexample.
-    Without a finder the exhaustive oracle decides directly.
+    Without a finder the exhaustive oracle decides directly.  An
+    exhaustive sweep past ``EXHAUSTIVE_LIMIT`` vertices raises
+    ``TooLarge`` before any host is checked.
     """
+    if mode == "exhaustive" and n_max > EXHAUSTIVE_LIMIT:
+        raise TooLarge(f"exhaustive enumeration capped at {EXHAUSTIVE_LIMIT} vertices")
     checked = 0
     budget_failures = 0
 
@@ -167,7 +171,7 @@ def verify_upper(
                 require_valid(d, pattern, found, "finder certificate")
                 return True
         try:
-            cert = contains_subdivision(d, pattern, SearchBudget(budget))
+            cert = contains_subdivision(d, pattern, budget)
         except BudgetExceeded:
             budget_failures += 1
             return None
@@ -219,7 +223,7 @@ def lower_witness(pattern: Digraph, budget: int = DEFAULT_BUDGET) -> tuple[Digra
         raise TooLarge("pattern needs at least two vertices")
     witness = bioriented_clique(pattern.n - 1)
     try:
-        confirmed = contains_subdivision(witness, pattern, SearchBudget(budget)) is None
+        confirmed = contains_subdivision(witness, pattern, budget) is None
     except BudgetExceeded:
         return witness, False
     if not confirmed:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .core import Digraph, Path, bfs_levels
+from .core import Digraph, Path, bfs_levels, has_digon
 from .errors import BudgetExceeded, InvariantViolation, ParseError
 from . import menger as _menger
 
@@ -476,11 +476,7 @@ def has_even_dicycle(d: Digraph, budget: SearchBudget | int | None = None) -> bo
     the node budget.
     """
     budget = as_budget(budget)
-    for u, v in d.arcs():
-        if d.has_arc(v, u):
-            return True
-
-    return any(_even_cycle_dfs(d, root, budget) for root in d.vertices())
+    return has_digon(d) or any(_even_cycle_dfs(d, root, budget) for root in d.vertices())
 
 
 def _even_cycle_dfs(d: Digraph, root: int, budget: SearchBudget) -> bool:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import digraphsub
+from digraphsub import cab
 from digraphsub.core import Digraph, build_digraph
 
 
@@ -27,6 +28,16 @@ def rand_out_digraph(rng: random.Random, n: int, k: int) -> Digraph:
         for v in rng.sample(others, k):
             arcs.append((u, v))
     return build_digraph(n, arcs)
+
+
+def grown_from(chain) -> "cab._Growth":
+    """cab's growth state grown arc by arc to hold ``chain`` up to its
+    last gadget-carrying arc; the chain's first arc must carry one."""
+    growth = cab._Growth(chain.spine[0])
+    for idx in sorted(chain.gadgets):
+        if not growth.extend(chain.spine[growth.m + 1 : idx + 1], chain.gadgets[idx]):
+            raise ValueError("the chain's spine repeats a vertex")
+    return growth
 
 
 @pytest.fixture

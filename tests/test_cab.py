@@ -203,9 +203,9 @@ class TestMergeRound:
         # chain's head, in the working graph minus the rest of the chain
         work = synthetic.ring_of_cycle_gadgets(12)
         params = CabParams(a=2, b=1)
-        chain = cab._seed_chain(work, params, SearchBudget(10**6))
-        vm = chain.spine[-1]
-        gone = chain.vertex_set() - {vm}
+        growth = cab._seed_chain(work, params, SearchBudget(10**6))
+        vm = growth.spine[-1]
+        gone = growth.index.keys() - {vm}
         assert gone
         handed = []
 
@@ -240,17 +240,34 @@ def _reference_gadget_index_of(chain, x, below):
     return None
 
 
-def _lookup_chains():
-    # random chains end in plain arcs; a last gadget on the head's arc
-    # puts one at the very end of the tail too
+def _growth_steps():
+    """cab's growth state after each of its extensions, with the same
+    chain built independently as a plain ``Chain``.
+
+    Each state replays a seeded random chain up to its last gadget,
+    then takes one gadget of each chain kind behind a plain lead of 0
+    to 2 arcs, so a gadget sits at the very end of the tail too.
+    """
     for seed in range(6):
         rng = random.Random(seed)
         b = 1 + seed % 2
         alloc = synthetic.IdAllocator()
         chain = synthetic.random_chain(rng, alloc, b, 4 * b * b, 2 + 2 * seed)[1]
-        kind = (GadgetKind.TYPE_I, GadgetKind.TYPE_II_BASIC, GadgetKind.TYPE_III)[seed % 3]
-        yield chain
-        yield chain.extended((), synthetic.make_gadget(rng, alloc, kind, b, 4 * b * b, p=chain.spine[-1])[1])
+        growth = cab._Growth(chain.spine[0])
+        spine, gadgets = [chain.spine[0]], {}
+
+        def extend(lead, gadget):
+            assert growth.extend(lead, gadget)
+            spine.extend(lead + (gadget.q,))
+            gadgets[len(spine) - 2] = gadget
+            return growth, Chain(spine=tuple(spine), gadgets=dict(gadgets))
+
+        for idx in sorted(chain.gadgets):
+            yield extend(chain.spine[growth.m + 1 : idx + 1], chain.gadgets[idx])
+        for kind in (GadgetKind.TYPE_I, GadgetKind.TYPE_II_BASIC, GadgetKind.TYPE_III):
+            lead = tuple(alloc.take(rng.randrange(3)))
+            p = lead[-1] if lead else growth.spine[-1]
+            yield extend(lead, synthetic.make_gadget(rng, alloc, kind, b, 4 * b * b, p=p)[1])
 
 
 def _reference_chain_vertices(chain):
@@ -261,44 +278,69 @@ class TestChainLookups:
     def test_gadget_index_of_matches_reference(self):
         # the index holds each vertex's largest arc; below any bound over
         # that arc, the largest arc under the bound is the same one
-        for chain in _lookup_chains():
-            index = chain.arc_index()
-            absent = max(chain.vertex_set()) + 1
+        for growth, chain in _growth_steps():
+            index = growth.index
+            absent = max(index) + 1
             assert index.get(absent) is None
-            for x in chain.vertex_set():
+            assert index.keys() == _reference_chain_vertices(chain)
+            for x in index:
                 assert index[x] == _reference_gadget_index_of(chain, x, chain.m)
                 for below in range(index[x] + 1, chain.m + 1):
                     assert _reference_gadget_index_of(chain, x, below) == index[x]
 
     def test_tail_vertex_set_matches_subchain(self):
-        for chain in _lookup_chains():
-            index = chain.arc_index()
+        for growth, chain in _growth_steps():
+            index = growth.index
             for i0 in range(chain.m):
                 sub = chain.subchain(i0, chain.m)
                 tail = {x for x in index if index[x] >= i0}
                 assert tail == sub.vertex_set() == _reference_chain_vertices(sub)
 
-    def test_extended_seeds_the_fresh_index(self, rng):
-        for chain in _lookup_chains():
-            alloc = synthetic.IdAllocator(max(chain.vertex_set()) + 1)
-            seeded = chain
-            for kind in (GadgetKind.TYPE_I, GadgetKind.TYPE_II_BASIC, GadgetKind.TYPE_III):
-                lead = tuple(alloc.take(rng.randrange(3)))
-                p = lead[-1] if lead else seeded.spine[-1]
-                seeded.arc_index()
-                seeded = seeded.extended(lead, synthetic.make_gadget(rng, alloc, kind, 1, 4, p=p)[1])
-                fresh = Chain(spine=seeded.spine, gadgets=seeded.gadgets)
-                assert dict(seeded.arc_index()) == dict(fresh.arc_index())
-                assert seeded.vertex_set() == _reference_chain_vertices(seeded)
+    def test_extended_seeds_the_fresh_index(self):
+        # an extension grows the same containers, moves the old head onto
+        # the new first arc and leaves every other old entry alone
+        previous = None
+        for growth, chain in _growth_steps():
+            held = (growth.spine, growth.on_spine, growth.gadgets, growth.index)
+            if previous is not None and previous[0] is growth:
+                _, containers, before, old_m = previous
+                assert all(now is then for now, then in zip(held, containers))
+                kept = {x: growth.index[x] for x in before}
+                assert kept == {**before, chain.spine[old_m]: old_m}
+            previous = (growth, held, dict(growth.index), chain.m)
 
-    def test_index_is_kept(self):
-        for chain in _lookup_chains():
-            assert chain.arc_index() is chain.arc_index()
+    def test_every_extension_matches_the_rebuilt_chain(self):
+        for growth, chain in _growth_steps():
+            assert growth.index == {
+                x: _reference_gadget_index_of(chain, x, chain.m) for x in _reference_chain_vertices(chain)
+            }
+            assert (tuple(growth.spine), growth.on_spine, growth.gadgets) == (chain.spine, set(chain.spine), chain.gadgets)
+            tail = (max(growth.index) + 1, max(growth.index) + 2)
+            for i in range(chain.m):
+                sub = chain.subchain(i, chain.m)
+                assert growth.cut(i, ()) == sub
+                assert growth.cut(i, tail) == Chain(spine=sub.spine + tail, gadgets=sub.gadgets)
 
-    def test_index_is_read_only(self):
-        for chain in _lookup_chains():
-            with pytest.raises(TypeError):
-                chain.arc_index()[chain.spine[0]] = chain.m
+
+class TestFreshGadgetChecks:
+    def test_rejections_leave_the_growth_state_unchanged(self):
+        # a fresh gadget larger than a good chain allows, or one meeting
+        # the extended spine off its own arc, is refused; the explored
+        # path runs 1 -> 10 -> 11 and every cycle below goes through
+        # (10, 11), so the lead is (10,)
+        params = CabParams(a=2, b=1)
+        growth = cab._Growth(0)
+        growth.extend((), gadgets.Gadget(kind=GadgetKind.TYPE_I, p=0, q=1, cycle=(0, 1, 2, 3)))
+        parent = {10: 1, 11: 10}
+        state = (list(growth.spine), set(growth.on_spine), dict(growth.gadgets), dict(growth.index))
+        too_large = (10, 11, *range(100, 100 + params.max_gadget_size - 1))
+        for cycle in (too_large, (10, 11, 0, 12)):
+            gadget = gadgets.Gadget(kind=GadgetKind.TYPE_I, p=10, q=11, cycle=cycle)
+            assert not cab._extend_with_fresh_gadget(growth, parent, 11, gadget, params)
+            assert (growth.spine, growth.on_spine, growth.gadgets, growth.index) == state
+        gadget = gadgets.Gadget(kind=GadgetKind.TYPE_I, p=10, q=11, cycle=too_large[:-1])
+        assert cab._extend_with_fresh_gadget(growth, parent, 11, gadget, params)
+        assert growth.spine == [0, 1, 10, 11] and growth.gadgets[2] == gadget
 
 
 class TestGrowthRoundCopies:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from digraphsub import cli
+from digraphsub import cli, mader
 from digraphsub.cli import build_parser, main, parse_pattern
 from digraphsub.core import (
     MAX_VERTICES,
@@ -131,6 +131,20 @@ class TestK3eBugsStayLoud:
             main(["verify", "--pattern", "k3e", "--k", "2", "--n-max", "3"])
 
 
+class TestConstructBugsStayLoud:
+    # only input and usage errors become exit codes; any other error from
+    # a join is a library bug and must reach the caller
+    def test_construct_propagates(self, monkeypatch, tmp_path):
+        def join_no_k4(block):
+            raise InvariantViolation("planted")
+
+        monkeypatch.setattr(cli, "join_no_k4", join_no_k4)
+        block = tmp_path / "block.edges"
+        block.write_text(write_edge_list(directed_cycle(5), comments=["property: no-even-dicycle"]))
+        with pytest.raises(InvariantViolation, match="planted"):
+            main(["construct", "--family", "no-k4", "--block", str(block)])
+
+
 class TestCheck:
     def test_round_trip(self, bivec_k3_file, tmp_path):
         cert = tmp_path / "cert.json"
@@ -181,6 +195,12 @@ class TestVerify:
         assert code == 0
         assert "all-contain" in csv_out.read_text()
 
+    def test_exhaustive_past_the_limit_exit_4(self, monkeypatch, capsys):
+        # the size check comes before any host is enumerated or searched
+        monkeypatch.setattr(mader, "enumerate_digraphs", None)
+        assert main(["verify", "--pattern", "k3e", "--k", "2", "--n-max", "6"]) == 4
+        assert "capped at 5 vertices" in capsys.readouterr().err
+
 
 class TestConstructAndStats:
     def test_construct_and_analyse(self, tmp_path, capsys):
@@ -199,6 +219,24 @@ class TestConstructAndStats:
         assert code == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert "girth=2" in line and "arc_connectivity=" in line
+
+    @pytest.mark.parametrize("family, block, code", [
+        ("no-k4", None, 3),
+        ("no-k4", (build_digraph(0, []), "no-even-dicycle"), 3),
+        ("no-k4", (directed_cycle(4), "no-even-dicycle"), 3),
+        ("no-k4", (directed_cycle(4), "no-s3-subdivision"), 4),
+        ("no-s4", (directed_cycle(5), "no-even-dicycle"), 4),
+    ])
+    def test_construct_input_errors(self, family, block, code, tmp_path, capsys):
+        # a missing file, an empty block or a block failing its claim is an
+        # input error (3); a block claiming the other family's property is
+        # a usage error (4)
+        path = tmp_path / "block.edges"
+        if block is not None:
+            graph, prop = block
+            path.write_text(write_edge_list(graph, comments=[f"property: {prop}"]))
+        assert main(["construct", "--family", family, "--block", str(path)]) == code
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_stats_c5(self, tmp_path, capsys):
         f = tmp_path / "c5.edges"
@@ -229,3 +267,8 @@ class TestWitness:
         code = main(["witness", "--pattern", "twoblock:3,2", "--out", str(out)])
         assert code == 0
         assert "oracle-confirmed: True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", ["bivec-clique:1", "transitive:0"])
+    def test_pattern_below_two_vertices_exit_4(self, spec, capsys):
+        assert main(["witness", "--pattern", spec]) == 4
+        assert "at least two vertices" in capsys.readouterr().err
