@@ -306,6 +306,16 @@ class TestGoldenCertificates:
             digest.update((cert.to_json() if cert is not None else "none").encode() + b"\n")
         assert digest.hexdigest() == GOLDEN_ORACLE.read_text().strip()
 
+    def test_charges_match_recorded_totals(self):
+        # the certificate hash cannot see a moved or dropped budget
+        # charge; these per-phase totals over the same corpus can
+        totals = Counter()
+        for host, pattern in _golden_searches():
+            budget = _PhaseCounter()
+            contains_subdivision(host, pattern, budget)
+            totals += budget.phases
+        assert totals == {"branch": 31501, "lookahead": 37507, "path": 12280}
+
 
 def _golden_searches():
     """Every 2-out host with n <= 4 against six small patterns, then
