@@ -325,7 +325,9 @@ def contains_subdivision(
     so far).  Both only cut subtrees in which every full assignment would
     be rejected before a path is laid, so the first certificate found is
     the same as without them.  A reachability lookahead over all
-    remaining arcs also prunes doomed partial path embeddings.
+    remaining arcs also prunes doomed partial path embeddings.  Both
+    checks run on int bitmasks of the host vertices placed or occupied,
+    with one :func:`_closure` per distinct source per check.
     """
     budget = as_budget(budget)
     if pattern.n == 0:
@@ -351,47 +353,52 @@ def contains_subdivision(
             return None
         candidates.append(pool)
 
+    out_mask, in_mask = _arc_masks(host)
     assignment: list[int] = []
 
-    def assign(depth: int) -> SubdivisionCertificate | None:
+    def assign(depth: int, placed: int) -> SubdivisionCertificate | None:
         if depth == pattern.n:
             return embed_arcs(0, {}, frozenset(assignment))
-        used = set(assignment)
         floor = max((assignment[i] for i in floors[depth]), default=-1)
         for w in candidates[depth]:
-            if w in used or w < floor:
+            if placed >> w & 1 or w < floor:
                 continue
             budget.charge(1, phase="branch", depth=depth)
             assignment.append(w)
-            if reachable(depth):
-                found = assign(depth + 1)
+            now = placed | 1 << w
+            if reachable(depth, now):
+                found = assign(depth + 1, now)
                 if found is not None:
                     return found
             assignment.pop()
         return None
 
-    def reachable(depth: int) -> bool:
+    def reachable(depth: int, placed: int) -> bool:
         """Each arc closed by placing ``depth`` has a host dipath that
         avoids the other images placed so far (a host arc at no cost)."""
-        placed = set(assignment)
+        closures: dict[int, int] = {}
         for x, y in closing[depth]:
             s, t = assignment[x], assignment[y]
-            if host.has_arc(s, t):
+            if out_mask[s] >> t & 1:
                 continue
             budget.charge(1, phase="lookahead")
-            dist, _ = bfs_levels(host, s, avoid=placed - {s, t}, targets=(t,))
-            if t not in dist:
+            if s not in closures:
+                closures[s] = _closure(out_mask, s, placed)
+            if not closures[s] & in_mask[t]:
                 return False
         return True
 
     def viable(idx: int, occupied: frozenset) -> bool:
         """Every remaining arc must still admit some dipath on its own."""
+        blocked = sum(1 << v for v in occupied)
+        closures: dict[int, int] = {}
         for j in range(idx, len(p_arcs)):
             x, y = p_arcs[j]
             s, t = assignment[x], assignment[y]
             budget.charge(1, phase="lookahead")
-            dist, _ = bfs_levels(host, s, avoid=occupied - {s, t}, targets=(t,))
-            if t not in dist:
+            if s not in closures:
+                closures[s] = _closure(out_mask, s, blocked)
+            if not closures[s] & in_mask[t]:
                 return False
         return True
 
@@ -413,7 +420,37 @@ def contains_subdivision(
             del chosen[(x, y)]
         return None
 
-    return assign(0)
+    return assign(0, 0)
+
+
+def _arc_masks(host: Digraph) -> tuple[list[int], list[int]]:
+    """Per host vertex: its out-neighbours and its in-neighbours, each
+    as an int bitmask (bit w set for vertex w)."""
+    out_mask = [sum(1 << w for w in host.out_nbrs(v)) for v in host.vertices()]
+    in_mask = [sum(1 << w for w in host.in_nbrs(v)) for v in host.vertices()]
+    return out_mask, in_mask
+
+
+def _closure(out_mask: list[int], s: int, blocked: int) -> int:
+    """Bitmask of the vertices reachable from ``s`` through vertices
+    outside the ``blocked`` mask; ``s`` itself is always entered.
+
+    For t != s, ``_closure(out_mask, s, blocked) & in_mask[t]`` is
+    nonzero iff some s-t dipath has no internal vertex in ``blocked``,
+    whether or not s and t are blocked themselves.  Each round ORs the
+    out-rows of the frontier's vertices, lowest bit first.
+    """
+    allowed = ~blocked
+    reach = frontier = 1 << s
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= out_mask[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & allowed & ~reach
+        reach |= frontier
+    return reach
 
 
 def _simple_paths_shortest_first(host: Digraph, s: int, t: int, blocked: frozenset, budget: SearchBudget):

@@ -313,8 +313,11 @@ def wired_cycle_host(rng: random.Random, a1: int, a2: int, b: int) -> tuple[Digr
 def ring_of_cycle_gadgets(m: int) -> Digraph:
     """Directed ring where every arc rides its own 4-cycle.
 
-    Girth 4, so the a=2, b=1 finder can grow a chain of cycle gadgets
-    all the way around and close it with the wrap arc.
+    Girth 4 for m >= 4, so the a=2, b=1 finder can grow a chain of cycle
+    gadgets all the way around, a spine of m - 1 arcs.  It closes the
+    ring with the wrap arc only for m >= 192: a closure must land on the
+    chain's old part, before the last ``tail_window`` (190) spine arcs,
+    so for 4 <= m <= 191 it returns ``NotFound("degree-below-threshold")``.
     """
     arcs = []
     nxt = m

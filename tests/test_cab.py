@@ -476,6 +476,17 @@ class TestChainMachineEndToEnd:
         assert any(e["event"] == "close" for e in log)
         assert sum(1 for e in log if e["event"] == "extend") > 200
 
+    def test_ring_closes_only_past_the_tail_window(self):
+        # a closure must land before the last tail_window spine arcs, and
+        # the whole ring of m vertices carries a spine of m - 1 arcs
+        assert CabParams(a=2, b=1).tail_window == 190
+        short = find_cab(synthetic.ring_of_cycle_gadgets(191), 2, 1)
+        assert isinstance(short, NotFound) and short.reason == "degree-below-threshold"
+        d = synthetic.ring_of_cycle_gadgets(192)
+        cert = find_cab(d, 2, 1)
+        assert not isinstance(cert, NotFound)
+        assert validate_certificate(d, pattern_cab(2, 1), cert)
+
     def test_ring_of_dominating_gadgets(self):
         from digraphsub.synthetic import ring_of_dominating_gadgets
 

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 
@@ -187,6 +188,22 @@ class TestTraversalKernel:
         assert bfs_path(d, 0, {4, 1}) == (0, 2, 4)
         assert bfs_path(d, 0, {0, 1}) == (0,)
         assert bfs_path(d, 0, {1}, avoid={3}) is None
+
+    def test_signature_is_pinned(self):
+        # the oracle's reachability runs on its own mask closure, so the
+        # breadth-first loop grows no mode, flag or special case for it
+        params = [(p.name, p.kind.name, p.default) for p in inspect.signature(bfs_levels).parameters.values()]
+        empty = inspect.Parameter.empty
+        assert params == [
+            ("host", "POSITIONAL_OR_KEYWORD", empty),
+            ("source", "POSITIONAL_OR_KEYWORD", empty),
+            ("max_depth", "POSITIONAL_OR_KEYWORD", math.inf),
+            ("avoid", "POSITIONAL_OR_KEYWORD", ()),
+            ("targets", "KEYWORD_ONLY", ()),
+            ("reverse", "KEYWORD_ONLY", False),
+            ("budget", "KEYWORD_ONLY", None),
+            ("phase", "KEYWORD_ONLY", None),
+        ]
 
 
 class TestGenerators:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from digraphsub.core import (
+    bfs_levels,
     bioriented_clique,
     bioriented_path,
     bioriented_star,
@@ -24,6 +25,8 @@ from digraphsub.mader import enumerate_digraphs
 from digraphsub.oracle import (
     SearchBudget,
     SubdivisionCertificate,
+    _arc_masks,
+    _closure,
     _orbit_floors,
     automorphisms,
     contains_subdivision,
@@ -102,6 +105,39 @@ class TestContainsSubdivision:
         a = contains_subdivision(d, directed_cycle(3))
         b = contains_subdivision(d, directed_cycle(3))
         assert a == b
+
+
+class TestMaskClosure:
+    def test_matches_bfs_reference(self):
+        # hosts up to 130 vertices, so masks cross the 64- and 128-bit
+        # word sizes; blocked sets may hold s, t, both or neither
+        rng = random.Random(0xC105)
+        for _ in range(120):
+            n = rng.choice((2, 3, 9, 63, 64, 65, 127, 128, 129, 130))
+            host = rand_digraph(rng, n, rng.choice((1.0, 1.5, 2.5, 4.0)) / n)
+            out_mask, in_mask = _arc_masks(host)
+            for _ in range(8):
+                s, t = rng.sample(range(n), 2)
+                density = rng.choice((0.0, 0.1, 0.3, 0.6))
+                blocked = {v for v in range(n) if rng.random() < density}
+                blocked.difference_update((s, t))
+                blocked.update(rng.choice(((), (s,), (t,), (s, t))))
+                bits = sum(1 << v for v in blocked)
+                got = bool(_closure(out_mask, s, bits) & in_mask[t])
+                assert got == _reaches_by_bfs(host, s, t, blocked), (host, s, t, sorted(blocked))
+
+    def test_arc_masks_match_rows(self):
+        host = rand_digraph(random.Random(0xA5C), 130, 0.03)
+        out_mask, in_mask = _arc_masks(host)
+        for u in host.vertices():
+            assert [w for w in host.vertices() if out_mask[u] >> w & 1] == list(host.out_nbrs(u))
+            assert [w for w in host.vertices() if in_mask[u] >> w & 1] == list(host.in_nbrs(u))
+
+
+def _reaches_by_bfs(host, s, t, blocked):
+    """Reference: t is reachable from s avoiding ``blocked - {s, t}``."""
+    dist, _ = bfs_levels(host, s, avoid=blocked - {s, t}, targets=(t,))
+    return t in dist
 
 
 class TestValidateCertificate:
