@@ -190,10 +190,11 @@ def bfs_levels(host, source: int, max_depth: float = INFINITE, avoid=(), *, targ
                ) -> tuple[dict[int, int], dict[int, int]]:
     """Breadth-first distances and parents from ``source``.
 
-    The package's one breadth-first loop.  The one reachability loop
-    outside this module is the oracle's mask closure
-    (``oracle._closure``), which answers yes/no over int bitmasks where
-    no distances are needed.  ``host`` is anything with
+    The package's one breadth-first loop over a digraph.  Outside this
+    module only the oracle's mask closure (``oracle._closure``) walks a
+    digraph for reachability: it answers yes/no over int bitmasks where
+    no distances are needed (``menger`` searches its own flow network).
+    ``host`` is anything with
     ``out_nbrs``, or ``in_nbrs`` when ``reverse`` walks the arcs
     backwards.  Vertices in ``avoid`` are never entered (the source
     itself is always entered).  Neighbours are scanned in the host's
