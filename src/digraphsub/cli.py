@@ -180,8 +180,7 @@ def cmd_verify(args) -> int:
         _, (k1, k2) = _split_spec(args.pattern)
 
         def finder(d):
-            out = find_two_block(d, k1, k2, args.budget)
-            return None if isinstance(out, NotFound) else out
+            return find_two_block(d, k1, k2, args.budget)
 
     report = verify_upper(
         pattern,

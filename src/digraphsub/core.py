@@ -2,9 +2,8 @@
 
 Digraphs here are loopless and simple (no parallel arcs) but may contain
 digons, i.e. both (u, v) and (v, u).  Vertices are dense integers
-0..n-1.  A :class:`Digraph` is immutable after construction: every
-"mutation" helper returns a new graph, so values can be shared freely
-across concurrent searches.
+0..n-1.  A :class:`Digraph` is immutable after construction, so values
+can be shared freely across concurrent searches.
 
 The module also houses the package's one traversal layer (``bfs_levels``,
 ``bfs_path``, ``path_to``, ``strong_components``), which walks any host
@@ -101,27 +100,6 @@ class Digraph:
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self._m})"
 
-    # ---- derived graphs --------------------------------------------------------
-
-    def transpose(self) -> "Digraph":
-        """Graph with every arc reversed."""
-        return Digraph(self.n, self._in)
-
-    def with_arcs(self, extra: Iterable[Arc]) -> "Digraph":
-        """New graph with ``extra`` arcs added (duplicates collapse)."""
-        rows = [set(row) for row in self._out]
-        for u, v in extra:
-            _check_arc(self.n, u, v)
-            rows[u].add(v)
-        return Digraph(self.n, tuple(tuple(sorted(r)) for r in rows))
-
-    def without_arcs(self, removed: Iterable[Arc]) -> "Digraph":
-        gone = set(removed)
-        rows = tuple(
-            tuple(v for v in self._out[u] if (u, v) not in gone) for u in range(self.n)
-        )
-        return Digraph(self.n, rows)
-
 
 def _check_arc(n: int, u: int, v: int) -> None:
     if not (0 <= u < n and 0 <= v < n):
@@ -186,25 +164,22 @@ def min_out_degree(d: Digraph) -> int:
 # ---------------------------------------------------------------------------
 
 def bfs_levels(host, source: int, max_depth: float = INFINITE, avoid=(), *, targets=(),
-               reverse: bool = False, budget=None, phase: str | None = None,
-               ) -> tuple[dict[int, int], dict[int, int]]:
+               budget=None, phase: str | None = None) -> tuple[dict[int, int], dict[int, int]]:
     """Breadth-first distances and parents from ``source``.
 
     The package's one breadth-first loop over a digraph.  Outside this
-    module only the oracle's mask closure (``oracle._closure``) walks a
-    digraph for reachability: it answers yes/no over int bitmasks where
-    no distances are needed (``menger`` searches its own flow network).
-    ``host`` is anything with
-    ``out_nbrs``, or ``in_nbrs`` when ``reverse`` walks the arcs
-    backwards.  Vertices in ``avoid`` are never entered (the source
-    itself is always entered).  Neighbours are scanned in the host's
-    row order, ascending ids for every host here, so parents are
-    deterministic.  The walk stops as soon as it enters a vertex of
+    module only the oracle walks a digraph, on int bitmasks: its mask
+    closure (``oracle._closure``) for yes/no reachability and its path
+    search for reverse levels (``menger`` searches its own flow
+    network).  ``host`` is anything with ``out_nbrs``.  Vertices in
+    ``avoid`` are never entered (the source itself is always entered).
+    Neighbours are scanned in the host's row order, ascending ids for
+    every host here, so parents are deterministic.  The walk stops as soon as it enters a vertex of
     ``targets`` (a set or a short tuple; the source counts), which is
     then the last key of the distances.  With a ``budget``, every
     expanded vertex costs one ``budget.charge(1, phase=phase)``.
     """
-    nbrs = host.in_nbrs if reverse else host.out_nbrs
+    nbrs = host.out_nbrs
     blocked = frozenset(avoid)  # no copy when already frozen
     dist = {source: 0}  # entered first, so never blocked
     parent: dict[int, int] = {}

@@ -14,7 +14,7 @@ import io
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .core import Digraph, bioriented_clique, build_digraph
@@ -97,7 +97,6 @@ class MaderReport:
     counterexample: Digraph | None = None
     seed: int | None = None
     budget_failures: int = 0
-    extras: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         payload = {
@@ -109,7 +108,6 @@ class MaderReport:
             "checked": self.checked,
             "seed": self.seed,
             "budget_failures": self.budget_failures,
-            **self.extras,
         }
         if self.counterexample is not None:
             payload["counterexample"] = {
@@ -152,8 +150,9 @@ def verify_upper(
     subdivision of the pattern.
 
     ``finder``, when supplied, must return a certificate or a falsy
-    miss; its certificates are re-validated and any miss is re-checked
-    against the oracle before being reported as a counterexample.
+    miss; its certificates are re-validated, and any miss, a finder's
+    ``BudgetExceeded`` included, is re-checked against the oracle before
+    being reported as a counterexample.
     Without a finder the exhaustive oracle decides directly.  An
     exhaustive sweep past ``EXHAUSTIVE_LIMIT`` vertices raises
     ``TooLarge`` before any host is checked.
@@ -165,11 +164,13 @@ def verify_upper(
 
     def contains(d: Digraph) -> bool | None:
         nonlocal budget_failures
-        if finder is not None:
-            found = finder(d)
-            if found:
-                require_valid(d, pattern, found, "finder certificate")
-                return True
+        try:
+            found = finder(d) if finder is not None else None
+        except BudgetExceeded:
+            found = None
+        if found:
+            require_valid(d, pattern, found, "finder certificate")
+            return True
         try:
             cert = contains_subdivision(d, pattern, budget)
         except BudgetExceeded:

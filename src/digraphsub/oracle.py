@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .core import Digraph, Path, bfs_levels, has_digon
+from .core import Digraph, Path, has_digon
 from .errors import BudgetExceeded, InvariantViolation, ParseError
 from . import menger as _menger
 
@@ -326,8 +326,9 @@ def contains_subdivision(
     be rejected before a path is laid, so the first certificate found is
     the same as without them.  A reachability lookahead over all
     remaining arcs also prunes doomed partial path embeddings.  Both
-    checks run on int bitmasks of the host vertices placed or occupied,
-    with one :func:`_closure` per distinct source per check.
+    checks and the path search run on int bitmasks of the host vertices
+    placed or occupied; each check takes one :func:`_closure` per
+    distinct source.
     """
     budget = as_budget(budget)
     if pattern.n == 0:
@@ -358,7 +359,7 @@ def contains_subdivision(
 
     def assign(depth: int, placed: int) -> SubdivisionCertificate | None:
         if depth == pattern.n:
-            return embed_arcs(0, {}, frozenset(assignment))
+            return embed_arcs(0, {}, placed)
         floor = max((assignment[i] for i in floors[depth]), default=-1)
         for w in candidates[depth]:
             if placed >> w & 1 or w < floor:
@@ -388,21 +389,20 @@ def contains_subdivision(
                 return False
         return True
 
-    def viable(idx: int, occupied: frozenset) -> bool:
+    def viable(idx: int, occupied: int) -> bool:
         """Every remaining arc must still admit some dipath on its own."""
-        blocked = sum(1 << v for v in occupied)
         closures: dict[int, int] = {}
         for j in range(idx, len(p_arcs)):
             x, y = p_arcs[j]
             s, t = assignment[x], assignment[y]
             budget.charge(1, phase="lookahead")
             if s not in closures:
-                closures[s] = _closure(out_mask, s, blocked)
+                closures[s] = _closure(out_mask, s, occupied)
             if not closures[s] & in_mask[t]:
                 return False
         return True
 
-    def embed_arcs(idx: int, chosen: dict, occupied: frozenset) -> SubdivisionCertificate | None:
+    def embed_arcs(idx: int, chosen: dict, occupied: int) -> SubdivisionCertificate | None:
         if idx == len(p_arcs):
             return SubdivisionCertificate(
                 branch={v: assignment[v] for v in range(pattern.n)},
@@ -412,9 +412,9 @@ def contains_subdivision(
             return None
         x, y = p_arcs[idx]
         s, t = assignment[x], assignment[y]
-        for path in _simple_paths_shortest_first(host, s, t, occupied - {s, t}, budget):
+        for path in _simple_paths_shortest_first(out_mask, in_mask, s, t, occupied, budget):
             chosen[(x, y)] = path
-            found = embed_arcs(idx + 1, chosen, occupied | frozenset(path[1:-1]))
+            found = embed_arcs(idx + 1, chosen, occupied | sum(1 << v for v in path[1:-1]))
             if found is not None:
                 return found
             del chosen[(x, y)]
@@ -453,41 +453,57 @@ def _closure(out_mask: list[int], s: int, blocked: int) -> int:
     return reach
 
 
-def _simple_paths_shortest_first(host: Digraph, s: int, t: int, blocked: frozenset, budget: SearchBudget):
-    """Yield simple s-t dipaths avoiding ``blocked``, shortest lengths first.
+def _simple_paths_shortest_first(out_mask: list[int], in_mask: list[int], s: int, t: int,
+                                 occupied: int, budget: SearchBudget):
+    """Yield simple s-t dipaths whose internal vertices avoid the
+    ``occupied`` mask, shortest lengths first.
 
-    Iterative deepening on the exact path length, pruned by live BFS
-    distances to the target; within one length, paths come in
-    lexicographic vertex order.
+    Iterative deepening on the exact path length, pruned by reverse
+    breadth-first levels from ``t``: ``near[r]`` masks the vertices that
+    reach ``t`` in at most r steps through vertices outside ``occupied``.
+    Children are taken lowest id first, so within one length paths come
+    in lexicographic vertex order.
     """
     if s == t:
         return
-    rev_dist, _ = bfs_levels(host, t, avoid=blocked, reverse=True)
-    if s not in rev_dist:
+    blocked = occupied & ~(1 << s | 1 << t)
+    allowed = ~blocked
+    near = [1 << t]
+    frontier = near[0]
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= in_mask[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & allowed & ~near[-1]
+        if frontier:
+            near.append(near[-1] | frontier)
+    first = next((r for r, reach in enumerate(near) if reach >> s & 1), None)
+    if first is None:
         return
-    max_len = host.n - len(blocked) - 1
-    for length in range(rev_dist[s], max_len + 1):
-        stack: list[int] = [s]
-        on_path = {s}
+    last = len(near) - 1
+    max_len = len(out_mask) - blocked.bit_count() - 1
+    not_t = ~(1 << t)
+    stack = [s]
 
-        def dfs(u: int, remaining: int):
-            budget.charge(1, phase="path", source=s, target=t)
-            if remaining == 0:
-                if u == t:
-                    yield tuple(stack)
-                return
-            for v in host.out_nbrs(u):
-                if v in blocked or v in on_path or v == t and remaining != 1:
-                    continue
-                if rev_dist.get(v, host.n + 1) > remaining - 1:
-                    continue
-                stack.append(v)
-                on_path.add(v)
-                yield from dfs(v, remaining - 1)
-                stack.pop()
-                on_path.discard(v)
+    def dfs(u: int, remaining: int, on_path: int):
+        budget.charge(1, phase="path", source=s, target=t)
+        if remaining == 0:  # near[0] holds only t, so u is t
+            yield tuple(stack)
+            return
+        kids = out_mask[u] & near[min(remaining - 1, last)] & ~on_path
+        if remaining != 1:
+            kids &= not_t
+        while kids:
+            low = kids & -kids
+            kids ^= low
+            stack.append(low.bit_length() - 1)
+            yield from dfs(stack[-1], remaining - 1, on_path | low)
+            stack.pop()
 
-        yield from dfs(s, length)
+    for length in range(first, max_len + 1):
+        yield from dfs(s, length, 1 << s)
 
 
 def as_budget(budget: SearchBudget | int | None) -> SearchBudget:

@@ -16,6 +16,8 @@ from digraphsub.core import (
 from digraphsub.errors import BadParams, DegeneratePattern, InvariantViolation
 from digraphsub.oracle import DEFAULT_BUDGET
 
+from .conftest import run_script
+
 
 @pytest.fixture
 def bivec_k3_file(tmp_path):
@@ -194,6 +196,18 @@ class TestVerify:
         code = main(["verify", "--pattern", "k3e", "--k", "2", "--n-max", "4", "--csv", str(csv_out)])
         assert code == 0
         assert "all-contain" in csv_out.read_text()
+
+    def test_finder_out_of_budget_exit_2(self):
+        # the two-block finder runs out of its one node, and so does the
+        # oracle's re-check: an inconclusive sweep, not a traceback
+        proc = run_script("""
+            import sys
+            from digraphsub.cli import main
+            sys.exit(main(["verify", "--pattern", "twoblock:3,2", "--k", "4", "--n-max", "5", "--budget", "1"]))
+        """)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.strip() == "inconclusive: checked 1 hosts, 1 budget failures"
 
     def test_exhaustive_past_the_limit_exit_4(self, monkeypatch, capsys):
         # the size check comes before any host is enumerated or searched

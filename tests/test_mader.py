@@ -10,7 +10,7 @@ from digraphsub.core import (
     pattern_cab,
     pattern_two_block,
 )
-from digraphsub.errors import TooLarge
+from digraphsub.errors import BudgetExceeded, TooLarge
 from digraphsub.k3e import find_k3e
 from digraphsub.mader import (
     count_digraphs,
@@ -20,6 +20,7 @@ from digraphsub.mader import (
     verify_upper,
 )
 from digraphsub.oracle import contains_subdivision
+from digraphsub.two_block import find_two_block
 
 
 class TestEnumeration:
@@ -95,6 +96,18 @@ class TestVerifyUpper:
         weaker = verify_upper(pattern_two_block(2, 2), 3, 4)
         stronger = verify_upper(pattern_two_block(2, 2), 3, 4)
         assert weaker.outcome == stronger.outcome == "all-contain"
+
+    def test_finder_out_of_budget_is_rechecked_by_the_oracle(self):
+        # a finder's BudgetExceeded is a miss: the oracle decides the host
+        report = verify_upper(pattern_two_block(3, 2), 4, 5, finder=lambda d: find_two_block(d, 3, 2, 1))
+        assert report.outcome == "all-contain" and report.checked == 1
+
+        def exhausted(d):
+            raise BudgetExceeded()
+
+        report = verify_upper(k3_minus_e(), 1, 3, finder=exhausted)
+        assert report.outcome == "counterexample"
+        assert report.counterexample == build_digraph(2, [(0, 1), (1, 0)])
 
     def test_report_serialisation(self):
         report = verify_upper(k3_minus_e(), 1, 3, pattern_name="k3e")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from digraphsub.core import (
+    Digraph,
     bfs_levels,
     bioriented_clique,
     bioriented_path,
@@ -28,6 +29,7 @@ from digraphsub.oracle import (
     _arc_masks,
     _closure,
     _orbit_floors,
+    _simple_paths_shortest_first,
     automorphisms,
     contains_subdivision,
     has_even_dicycle,
@@ -87,7 +89,7 @@ class TestContainsSubdivision:
                 continue
             extra = [(u, v) for u in range(6) for v in range(6) if u != v and not d.has_arc(u, v)]
             if extra:
-                bigger = d.with_arcs([rng.choice(extra)])
+                bigger = build_digraph(6, [*d.arcs(), rng.choice(extra)])
                 assert contains_subdivision(bigger, pattern) is not None
 
     def test_prefixes_pruned_by_symmetry_and_reachability(self):
@@ -140,6 +142,77 @@ def _reaches_by_bfs(host, s, t, blocked):
     return t in dist
 
 
+class TestMaskPathSearch:
+    def test_matches_level_reference(self):
+        # the first 50 paths and the budget spent on them agree with the
+        # frozenset search over breadth-first levels, on hosts up to 130
+        # vertices and occupied sets that hold s, t, both or neither
+        rng = random.Random(0x9A75)
+        for _ in range(60):
+            n = rng.choice((2, 3, 9, 63, 64, 65, 127, 128, 129, 130))
+            host = rand_digraph(rng, n, rng.choice((1.0, 1.5, 2.5, 4.0)) / n)
+            reverse = Digraph(n, tuple(map(host.in_nbrs, host.vertices())))
+            out_mask, in_mask = _arc_masks(host)
+            for _ in range(4):
+                s, t = rng.sample(range(n), 2)
+                density = rng.choice((0.0, 0.1, 0.3))
+                occupied = {v for v in range(n) if rng.random() < density}
+                occupied.difference_update((s, t))
+                occupied.update(rng.choice(((), (s,), (t,), (s, t))))
+                bits = sum(1 << v for v in occupied)
+                blocked = frozenset(occupied - {s, t})
+                want = _first_paths(lambda b: _paths_by_levels(host, reverse, s, t, blocked, b))
+                got = _first_paths(lambda b: _simple_paths_shortest_first(out_mask, in_mask, s, t, bits, b))
+                assert got == want, (host, s, t, sorted(occupied))
+
+
+def _first_paths(search, limit=50):
+    """The first ``limit`` paths ``search(budget)`` yields, cut short if
+    a 3,000-node budget runs out, and the nodes it charged for them."""
+    budget = SearchBudget(3000)
+    out = []
+    try:
+        for path in itertools.islice(search(budget), limit):
+            out.append(path)
+    except BudgetExceeded:
+        out.append("out of budget")
+    return out, budget.consumed
+
+
+def _paths_by_levels(host, reverse, s, t, blocked, budget):
+    """Reference: simple s-t dipaths avoiding the frozenset ``blocked``,
+    shortest first, pruned by ``bfs_levels`` distances to t on
+    ``reverse``, the host with every arc turned around."""
+    if s == t:
+        return
+    rev_dist, _ = bfs_levels(reverse, t, avoid=blocked)
+    if s not in rev_dist:
+        return
+    max_len = host.n - len(blocked) - 1
+    for length in range(rev_dist[s], max_len + 1):
+        stack = [s]
+        on_path = {s}
+
+        def dfs(u, remaining):
+            budget.charge(1, phase="path", source=s, target=t)
+            if remaining == 0:
+                if u == t:
+                    yield tuple(stack)
+                return
+            for v in host.out_nbrs(u):
+                if v in blocked or v in on_path or v == t and remaining != 1:
+                    continue
+                if rev_dist.get(v, host.n + 1) > remaining - 1:
+                    continue
+                stack.append(v)
+                on_path.add(v)
+                yield from dfs(v, remaining - 1)
+                stack.pop()
+                on_path.discard(v)
+
+        yield from dfs(s, length)
+
+
 class TestValidateCertificate:
     def _good(self):
         host = directed_cycle(6)
@@ -190,6 +263,36 @@ class TestValidateCertificate:
         host, pattern, _ = self._good()
         garbage = SubdivisionCertificate(branch={0: 99, 1: -3, 2: None}, paths={})
         assert not validate_certificate(host, pattern, garbage).ok
+
+    @pytest.mark.parametrize("branch, paths, violation", [
+        ({2: 1}, {}, "branch map not injective"),
+        ({2: 7}, {}, "branch image out of range"),
+        ({}, {(2, 0): None}, "path set does not match pattern arcs"),
+        ({}, {(1, 2): (1,)}, "path for (1, 2) shorter than one arc"),
+        ({}, {(1, 2): (1, 4, 6)}, "path for (1, 2) has wrong endpoints"),
+        ({}, {(1, 2): (1, 4, 6, 4, 2)}, "path for (1, 2) repeats a vertex"),
+        ({}, {(0, 1): (0, 1)}, "arc absent: (0, 1)"),
+        ({}, {(0, 1): (0, 2, 1)}, "path for (0, 1) passes through a branch vertex"),
+        ({}, {(1, 2): 5}, "malformed certificate: object of type 'int' has no len()"),
+    ])
+    def test_each_rejection_clause(self, branch, paths, violation):
+        # one edit to a valid triangle subdivision in the bioriented K7
+        # without the arc (0, 1), each tripping only the named clause; a
+        # path set to None is dropped
+        host = build_digraph(7, [(u, v) for u in range(7) for v in range(7) if u != v and (u, v) != (0, 1)])
+        pattern = directed_cycle(3)
+        good = SubdivisionCertificate(
+            branch={0: 0, 1: 1, 2: 2},
+            paths={(0, 1): (0, 3, 1), (1, 2): (1, 4, 2), (2, 0): (2, 5, 0)},
+        )
+        assert validate_certificate(host, pattern, good)
+        edited = SubdivisionCertificate(
+            branch={**good.branch, **branch},
+            paths={k: v for k, v in {**good.paths, **paths}.items() if v is not None},
+        )
+        report = validate_certificate(host, pattern, edited)
+        assert not report.ok
+        assert report.violation == violation
 
 
 class TestCertificateJSON:
