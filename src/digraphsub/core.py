@@ -6,12 +6,12 @@ digons, i.e. both (u, v) and (v, u).  Vertices are dense integers
 can be shared freely across concurrent searches.
 
 The module also houses the package's one traversal layer (``bfs_levels``,
-``bfs_path``, ``path_to``, ``strong_components``), which walks any host
-with ``out_nbrs``, such as a :class:`Digraph` or an :class:`AdjView`; the
-canonical pattern generators used throughout the package (bioriented
-cliques/stars/paths, transitive tournaments, directed cycles, the
-two-block cycle ``C(k1, k2)`` and the alternating source/sink cycle
-``C_{a,b}``); the edge-list text format and DOT export.
+``bfs_path``, ``path_to``, ``strong_components``) over a
+:class:`Digraph`, the package's only graph type; the canonical pattern
+generators used throughout the package (bioriented cliques/stars/paths,
+transitive tournaments, directed cycles, the two-block cycle
+``C(k1, k2)`` and the alternating source/sink cycle ``C_{a,b}``); the
+edge-list text format and DOT export.
 """
 
 from __future__ import annotations
@@ -117,38 +117,6 @@ def build_digraph(n: int, arcs: Iterable[Arc]) -> Digraph:
     return Digraph(n, tuple(tuple(sorted(r)) for r in rows))
 
 
-class AdjView:
-    """Read-only host over a ``{vertex: sorted out-tuple}`` dict.
-
-    Every out-neighbour must itself be a key; ids need not be
-    contiguous, and ``n`` is one past the largest, so validators that
-    range-check vertices accept them all.
-    """
-
-    __slots__ = ("adj", "n")
-
-    def __init__(self, adj: dict[int, tuple[int, ...]]):
-        self.adj = adj
-        self.n = max(adj, default=-1) + 1
-
-    @classmethod
-    def from_arcs(cls, arcs: Iterable[Arc]) -> "AdjView":
-        rows: dict[int, list[int]] = {}
-        for u, v in arcs:
-            rows.setdefault(u, []).append(v)
-            rows.setdefault(v, [])
-        return cls({u: tuple(sorted(row)) for u, row in rows.items()})
-
-    def vertices(self):
-        return self.adj.keys()
-
-    def out_nbrs(self, u: int) -> tuple[int, ...]:
-        return self.adj[u]
-
-    def has_arc(self, u: int, v: int) -> bool:
-        return v in self.adj.get(u, ())
-
-
 # ---------------------------------------------------------------------------
 # degree summaries
 # ---------------------------------------------------------------------------
@@ -163,7 +131,7 @@ def min_out_degree(d: Digraph) -> int:
 # reachability / girth / components
 # ---------------------------------------------------------------------------
 
-def bfs_levels(host, source: int, max_depth: float = INFINITE, avoid=(), *, targets=(),
+def bfs_levels(host: Digraph, source: int, max_depth: float = INFINITE, avoid=(), *, targets=(),
                budget=None, phase: str | None = None) -> tuple[dict[int, int], dict[int, int]]:
     """Breadth-first distances and parents from ``source``.
 
@@ -171,13 +139,14 @@ def bfs_levels(host, source: int, max_depth: float = INFINITE, avoid=(), *, targ
     module only the oracle walks a digraph, on int bitmasks: its mask
     closure (``oracle._closure``) for yes/no reachability and its path
     search for reverse levels (``menger`` searches its own flow
-    network).  ``host`` is anything with ``out_nbrs``.  Vertices in
-    ``avoid`` are never entered (the source itself is always entered).
-    Neighbours are scanned in the host's row order, ascending ids for
-    every host here, so parents are deterministic.  The walk stops as soon as it enters a vertex of
-    ``targets`` (a set or a short tuple; the source counts), which is
-    then the last key of the distances.  With a ``budget``, every
-    expanded vertex costs one ``budget.charge(1, phase=phase)``.
+    network).  ``host`` is a :class:`Digraph`.  Vertices in ``avoid``
+    are never entered (the source itself is always entered).
+    Neighbours are scanned in ascending id order, as the host's rows
+    are sorted, so parents are deterministic.  The walk stops as soon as
+    it enters a vertex of ``targets`` (a set or a short tuple; the
+    source counts), which is then the last key of the distances.  With
+    a ``budget``, every expanded vertex costs one
+    ``budget.charge(1, phase=phase)``.
     """
     nbrs = host.out_nbrs
     blocked = frozenset(avoid)  # no copy when already frozen
@@ -205,7 +174,7 @@ def bfs_levels(host, source: int, max_depth: float = INFINITE, avoid=(), *, targ
     return dist, parent
 
 
-def bfs_path(host, source: int, targets, avoid=(), max_depth: float = INFINITE, *,
+def bfs_path(host: Digraph, source: int, targets, avoid=(), max_depth: float = INFINITE, *,
              budget=None, phase: str | None = None) -> Path | None:
     """Shortest dipath from ``source`` to any vertex in ``targets``.
 
@@ -252,41 +221,43 @@ def has_digon(d: Digraph) -> bool:
     return any(d.has_arc(v, u) for u, v in d.arcs())
 
 
-def strong_components(host) -> list[list[int]]:
-    """Strongly connected components in reverse topological order.
+def strong_components(d: Digraph) -> list[list[int]]:
+    """Strongly connected components of ``d`` in reverse topological order.
 
-    ``host`` is anything with ``vertices`` and ``out_nbrs``; ids need
-    not be contiguous.  Iterative Tarjan with roots taken in ascending
-    id order; each component is listed with its vertices sorted, so the
-    output is deterministic.
+    Iterative Tarjan with roots taken in ascending id order; each
+    component is listed with its vertices sorted, so the output is
+    deterministic.
     """
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+    n = d.n
+    index = [-1] * n
+    low = [0] * n
+    on_stack = bytearray(n)
     stack: list[int] = []
     comps: list[list[int]] = []
+    counter = 0
 
-    for root in sorted(host.vertices()):
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
         work = [(root, 0)]
         while work:
             v, pi = work[-1]
             if pi == 0:
-                index[v] = low[v] = len(index)
+                index[v] = low[v] = counter
+                counter += 1
                 stack.append(v)
-                on_stack.add(v)
+                on_stack[v] = 1
             advanced = False
-            row = host.out_nbrs(v)
+            row = d.out_nbrs(v)
             while pi < len(row):
                 w = row[pi]
                 pi += 1
-                if w not in index:
+                if index[w] < 0:
                     work[-1] = (v, pi)
                     work.append((w, 0))
                     advanced = True
                     break
-                if w in on_stack:
+                if on_stack[w]:
                     low[v] = min(low[v], index[w])
             if advanced:
                 continue
@@ -295,7 +266,7 @@ def strong_components(host) -> list[list[int]]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = 0
                     comp.append(w)
                     if w == v:
                         break

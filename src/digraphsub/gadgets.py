@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .core import AdjView, Path, bfs_path, pattern_cab
+from .core import Path, bfs_path, build_digraph, pattern_cab
 from .cycle_embed import certificate_from_cycle
 from .errors import (
     BadParams,
@@ -437,7 +437,8 @@ def reach_pq(gadget: Gadget, x: int) -> Path:
         raise WrongKind("merge gadgets do not reach back to (p, q)")
     if x not in gadget.vertices():
         raise BadTarget(f"{x} is not a gadget vertex")
-    walk = bfs_path(AdjView.from_arcs(gadget.arcs()), x, (gadget.p, gadget.q))
+    inside = build_digraph(1 + max(gadget.vertices()), gadget.arcs())
+    walk = bfs_path(inside, x, (gadget.p, gadget.q))
     if walk is None:
         raise BadTarget(f"{x} cannot reach the designated pair inside the gadget")
     return walk
@@ -553,9 +554,9 @@ def chain_alt_path(chain: Chain, a: int, b: int) -> AlternatingPath:
     )
 
 
-def join_alt_paths(r1: AlternatingPath, r2: AlternatingPath, b: int) -> SubdivisionCertificate:
+def join_alt_paths(host, r1: AlternatingPath, r2: AlternatingPath, b: int) -> SubdivisionCertificate:
     """Certificate for ``C_{a1+a2-2, b}`` spanned by two strong
-    alternating paths wired head to tail.
+    alternating paths of ``host`` wired head to tail.
 
     Requires s_1 of each to be the final t of the other and no further
     shared vertices.
@@ -576,7 +577,7 @@ def join_alt_paths(r1: AlternatingPath, r2: AlternatingPath, b: int) -> Subdivis
     for path in (r1, r2):
         for piece in path.q_paths + path.qp_paths:
             arcs.update(zip(piece, piece[1:]))
-    cert = certificate_from_cycle(arcs, pattern_cab(a, b), AdjView.from_arcs(arcs))
+    cert = certificate_from_cycle(arcs, pattern_cab(a, b), host)
     if cert is None:
         raise OverlapViolation("joined paths do not span the expected cycle")
     return cert
@@ -802,7 +803,7 @@ def close_chain(host, chain: Chain, closure, a: int, b: int) -> SubdivisionCerti
     sub = chain.subchain(b + 1, ell - b)
     r2 = chain_alt_path(sub, a2_count, b)
 
-    return require_valid(host, pattern_cab(a, b), join_alt_paths(r1, r2, b), "closure certificate")
+    return require_valid(host, pattern_cab(a, b), join_alt_paths(host, r1, r2, b), "closure certificate")
 
 
 def _closure_alt_path(host, chain: Chain, closure, first: Gadget, b: int) -> AlternatingPath:

@@ -328,14 +328,14 @@ class TestJoinAltPaths:
     def test_join_produces_valid_certificate(self, a1, a2, b):
         rng = random.Random(100 * a1 + 10 * a2 + b)
         host, r1, r2 = wired_cycle_host(rng, a1, a2, b)
-        cert = join_alt_paths(r1, r2, b)
+        cert = join_alt_paths(host, r1, r2, b)
         pattern = pattern_cab(a1 + a2 - 2, b)
         assert validate_certificate(host, pattern, cert)
 
     def test_endpoint_mismatch(self, rng):
         host, r1, r2 = wired_cycle_host(rng, 2, 2, 1)
         with pytest.raises(EndpointMismatch):
-            join_alt_paths(r1, r1, 1)
+            join_alt_paths(host, r1, r1, 1)
 
     def test_overlap_rejected(self, rng):
         alloc = IdAllocator()
@@ -345,8 +345,9 @@ class TestJoinAltPaths:
         # second path reuses an interior vertex of the first
         q1 = (j2, shared, alloc.one(), j1)
         r2 = make_alt_path((j2,), (j1,), (q1,), (), 1)
+        host = _host(arcs1 | set(zip(q1, q1[1:])))
         with pytest.raises(OverlapViolation):
-            join_alt_paths(r1, r2, 1)
+            join_alt_paths(host, r1, r2, 1)
 
 
 class TestGadgetIntersection:
