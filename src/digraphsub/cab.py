@@ -799,7 +799,7 @@ def find_oriented_cycle_subdivision(d: Digraph, orientation: Digraph,
 
     if a == 1:
         lens = sorted((len(blk.path) - 1 for blk in blocks), reverse=True)
-        found = find_two_block(d, lens[0], lens[1], budget)
+        found = find_two_block(d, lens[0], lens[1], budget, log=log)
     else:
         found = find_cab(d, a, b, budget, log)
         if isinstance(found, NotFound):

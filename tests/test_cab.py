@@ -21,6 +21,7 @@ from digraphsub.core import (
     directed_girth,
     min_out_degree,
     pattern_cab,
+    pattern_two_block,
 )
 from digraphsub.errors import (
     BudgetExceeded,
@@ -39,6 +40,7 @@ from digraphsub.oracle import (
 )
 from digraphsub.outcome import NotFound
 from digraphsub.synthetic import wired_cycle_host
+from digraphsub.two_block import find_two_block
 
 from .conftest import rand_digraph, rand_out_digraph, run_script
 
@@ -433,6 +435,14 @@ class TestOrientedCycleDispatch:
         cert = find_oriented_cycle_subdivision(d, pattern)
         assert not isinstance(cert, NotFound)
         assert validate_certificate(d, pattern, cert)
+
+    def test_two_block_route_forwards_log(self):
+        d, pattern = bioriented_clique(7), pattern_two_block(3, 2)
+        log, direct = [], []
+        find_oriented_cycle_subdivision(d, pattern, log=log)
+        find_two_block(d, 3, 2, log=direct)
+        assert [e["event"] for e in log] == ["extend", "close"]
+        assert log == direct
 
     def test_two_source_pattern_on_wired_host(self):
         rng = random.Random(3)
