@@ -126,6 +126,52 @@ class TestValidateGadget:
                     assert validate_gadget(_host(arcs), gadget, b, g)
 
 
+def _alt_arcs(path):
+    return {arc for piece in path.q_paths + path.qp_paths for arc in zip(piece, piece[1:])}
+
+
+# a valid strong (3, 2)-alternating path; each rejection case below breaks
+# exactly one clause of make_alt_path or validate_alternating_path
+ALT_GOOD = gadgets.AlternatingPath(
+    s=(0, 10, 20),
+    t=(2, 12, 22),
+    q_paths=((0, 1, 2), (10, 11, 12), (20, 21, 22)),
+    qp_paths=((10, 5, 2), (20, 15, 12)),
+    strong=True,
+)
+ALT_REJECTIONS = [
+    pytest.param({"t": (2, 12)}, None, None, "piece counts are inconsistent", id="piece-counts"),
+    pytest.param({"q_paths": ((0, 1, 2), (10, 11, 13), (20, 21, 22))}, None, None,
+                 "Q_2 does not run s_2 .. t_2", id="q-ends"),
+    pytest.param({"qp_paths": ((10, 5, 3), (20, 15, 12))}, None, None,
+                 "Q'_1 does not run s_2 .. t_1", id="qp-ends"),
+    pytest.param({"qp_paths": ((10, 2), (20, 15, 12))}, None, None, "Q'_1 shorter than 2", id="short-qp"),
+    pytest.param({"q_paths": ((0, 1, 2), (10, 12), (20, 21, 22))}, None, None,
+                 "interior Q_2 shorter than 2", id="short-interior-q"),
+    pytest.param({"qp_paths": ((10, 1, 2), (20, 15, 12))}, None, None,
+                 "pieces overlap outside their shared endpoints", id="overlap"),
+    pytest.param({"strong": False}, None, None, "strength flag incorrect", id="strength-flag"),
+    pytest.param({}, False, None, "expected strong=False", id="unexpected-strength"),
+    pytest.param({}, None, (21, 22), "arc absent: (21, 22)", id="absent-arc"),
+]
+
+
+class TestAltPathRejections:
+    def test_good_path_passes(self):
+        assert validate_alternating_path(_host(_alt_arcs(ALT_GOOD)), ALT_GOOD, 2, expect_strong=True)
+
+    @pytest.mark.parametrize("changes,expect_strong,drop,violation", ALT_REJECTIONS)
+    def test_each_clause_alone(self, changes, expect_strong, drop, violation):
+        path = dataclasses.replace(ALT_GOOD, **changes)
+        host = _host(_alt_arcs(path) - {drop}, n=23)
+        report = validate_alternating_path(host, path, 2, expect_strong=expect_strong)
+        assert not report and report.violation == violation
+        if changes.keys() - {"strong"}:  # the structural clauses live in make_alt_path
+            with pytest.raises(OverlapViolation) as exc:
+                make_alt_path(path.s, path.t, path.q_paths, path.qp_paths, 2)
+            assert str(exc.value) == violation
+
+
 class TestBaseAltPath:
     def test_type_i(self, rng):
         b, g = 2, 16
