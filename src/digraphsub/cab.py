@@ -420,7 +420,7 @@ def _extract_merge_gadget(host, root, u, arms, parent, depth, tree, b, h, budget
                 continue
             return p0, gadget
     raise PreconditionUnverifiable(
-        "stalled arms found no usable tree target", witness=(u, tuple(a[-1] for a in stalled))
+        "stalled arms found no usable tree target", witness=(u, tuple(dict.fromkeys(a[-1] for a in stalled)))
     )
 
 

@@ -497,6 +497,11 @@ class TestChainMachineEndToEnd:
         assert not isinstance(cert, NotFound)
         assert validate_certificate(d, pattern_cab(2, 1), cert)
 
+    def test_stalled_witness_lists_each_end_once(self):
+        out = find_cab(synthetic.ring_of_cycle_gadgets(64), 2, 1)
+        assert out.reason == "degree-below-threshold"
+        assert out.details["witness"] == (63, (63,))
+
     def test_ring_of_dominating_gadgets(self):
         from digraphsub.synthetic import ring_of_dominating_gadgets
 
