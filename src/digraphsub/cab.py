@@ -243,12 +243,10 @@ def embed_gadget_i_or_ii(host, p: int, q: int, b: int, g: int,
     w_walk = [r_last]
     for _ in range(b):
         x = w_walk[-1]
-        cyc = None
         if _girth_distance_hits(host, x, u, g, budget):
             cyc = _short_cycle_through(host, x, u, g, budget)
             if cyc is None or len(cyc) != g:
                 raise _Stuck("girth-too-small", {"arc": (x, u)})
-        if cyc is not None:
             gadget = _close_walks_with_cycle(host, r_walk, w_walk, q, cyc, b, g)
             _require_valid(host, gadget, b, g)
             return gadget
@@ -764,15 +762,16 @@ def _extend_with_merge(work: Digraph, growth: _Growth, params: CabParams,
 
 def find_oriented_cycle_subdivision(d: Digraph, orientation: Digraph,
                                     budget: SearchBudget | int | None = None,
-                                    seed=None, log: list | None = None) -> SubdivisionCertificate | NotFound:
+                                    log: list | None = None) -> SubdivisionCertificate | NotFound:
     """Certificate for a subdivision of an arbitrary cycle orientation.
 
     Directed cycles ride a long-cycle search; one-source orientations go
-    to the two-block finder; everything else reduces to the alternating
-    cycle ``C_{a,b}`` where a counts the sources and b is the longest
-    block, with an optional girth-reduction preprocessing pass.  The
-    certificate is always expressed against ``orientation`` itself.
-    Every finder it calls draws on the one allowance in ``budget``.
+    to the two-block finder; everything else goes to ``find_cab`` for
+    the alternating cycle ``C_{a,b}``, where a counts the sources and b
+    is the longest block.  The certificate is always expressed against
+    ``orientation`` itself: every block of the found subdivision is at
+    least as long as the orientation block it stands for, so the
+    re-reading cannot miss.
     """
     budget = as_budget(budget)
     shape = digraph_cycle_shape(orientation)
@@ -788,42 +787,16 @@ def find_oriented_cycle_subdivision(d: Digraph, orientation: Digraph,
         if len(cycle) < ell:
             return NotFound("longest-greedy-cycle-too-short", {"found": len(cycle), "needed": ell})
         arcs = set(zip(cycle, cycle[1:])) | {(cycle[-1], cycle[0])}
-        cert = certificate_from_cycle(arcs, orientation, d)
-        if cert is None:
-            raise InvariantViolation("a long cycle must read off as the directed cycle pattern")
-        return cert
-
-    blocks = shape.blocks
-    a = shape.sources
-    b = max(len(blk.path) - 1 for blk in blocks)
-
-    if a == 1:
-        lens = sorted((len(blk.path) - 1 for blk in blocks), reverse=True)
-        found = find_two_block(d, lens[0], lens[1], budget, log=log)
     else:
-        found = find_cab(d, a, b, budget, log)
+        lens = sorted((len(blk.path) - 1 for blk in shape.blocks), reverse=True)
+        if shape.sources == 1:
+            found = find_two_block(d, lens[0], lens[1], budget, log=log)
+        else:
+            found = find_cab(d, shape.sources, lens[0], budget, log)
         if isinstance(found, NotFound):
-            params = CabParams(a=a, b=b)
-            if directed_girth(d) < params.g:
-                try:
-                    sub, kept = reduce_girth(d, params.k, params.g, seed=seed)
-                except RetriesExhausted:
-                    return found
-                inner = find_cab(sub, a, b, budget, log)
-                if isinstance(inner, NotFound):
-                    return inner
-                found = _relabel(inner, kept)
-    if isinstance(found, NotFound):
-        return found
-    arcs = found.arcs()
+            return found
+        arcs = found.arcs()
     cert = certificate_from_cycle(arcs, orientation, d)
     if cert is None:
-        return NotFound("block-alignment-failed", {"pattern_blocks": len(blocks)})
+        raise InvariantViolation("a found cycle must read off as the orientation")
     return cert
-
-
-def _relabel(cert: SubdivisionCertificate, kept: list[int]) -> SubdivisionCertificate:
-    return SubdivisionCertificate(
-        branch={pv: kept[hv] for pv, hv in cert.branch.items()},
-        paths={arc: tuple(kept[v] for v in p) for arc, p in cert.paths.items()},
-    )

@@ -102,22 +102,26 @@ def _write(path: str | None, text: str) -> None:
         FsPath(path).write_text(text)
 
 
-def _dispatch_find(d: Digraph, spec: str, budget: int, seed, log: list):
+def _resolve(spec: str, budget: int):
+    """The pattern a spec names and the finder for it: ``finder(d, log)``
+    returns a certificate or a ``NotFound``."""
     pattern = parse_pattern(spec)
     name, nums = _split_spec(spec)
     if name == "cab":
-        return find_cab(d, *nums, budget, log=log), pattern
+        return pattern, lambda d, log=None: find_cab(d, *nums, budget, log=log)
     if name == "twoblock":
-        return find_two_block(d, *nums, budget, log=log), pattern
+        return pattern, lambda d, log=None: find_two_block(d, *nums, budget, log=log)
     if name == "k3e":
-        try:
-            return find_k3e(d, trace=log), pattern
-        except PreconditionViolated as exc:
-            return NotFound("precondition", {"why": str(exc)}), pattern
-    return (
-        find_oriented_cycle_subdivision(d, pattern, budget, seed=seed, log=log),
-        pattern,
-    )
+        return pattern, _find_k3e_or_miss
+    return pattern, lambda d, log=None: find_oriented_cycle_subdivision(d, pattern, budget, log=log)
+
+
+def _find_k3e_or_miss(d: Digraph, log: list | None = None):
+    """``find_k3e``, with a failed degree precondition as a miss."""
+    try:
+        return find_k3e(d, trace=log)
+    except PreconditionViolated as exc:
+        return NotFound("precondition", {"why": str(exc)})
 
 
 def cmd_find(args) -> int:
@@ -128,7 +132,8 @@ def cmd_find(args) -> int:
         return EXIT_PARSE
     log: list = []
     try:
-        found, pattern = _dispatch_find(d, args.pattern, args.budget, args.seed, log)
+        pattern, finder = _resolve(args.pattern, args.budget)
+        found = finder(d, log)
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc.details}")
         return EXIT_BUDGET
@@ -165,23 +170,14 @@ def cmd_check(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        pattern = parse_pattern(args.pattern)
+        pattern, finder = _resolve(args.pattern, args.budget)
     except (BadParams, DegeneratePattern) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finder = None
-    if args.pattern == "k3e":
-        def finder(d):
-            try:
-                return find_k3e(d)
-            except PreconditionViolated:
-                return None
-    elif args.pattern.startswith("twoblock:"):
-        _, (k1, k2) = _split_spec(args.pattern)
-
-        def finder(d):
-            return find_two_block(d, k1, k2, args.budget)
-
+    # only these finders are proved at degrees a sweep can reach; the
+    # oracle decides every other pattern alone
+    if _split_spec(args.pattern)[0] not in ("k3e", "twoblock"):
+        finder = None
     report = verify_upper(
         pattern,
         args.k,
@@ -271,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     find.add_argument("--in", dest="input", required=True, help="edge-list file")
     find.add_argument("--pattern", required=True)
     find.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    find.add_argument("--seed", type=int, default=0)
     find.add_argument("--out", help="certificate JSON path")
     find.add_argument("--log", help="run-log JSONL path")
     find.set_defaults(func=cmd_find)

@@ -74,7 +74,7 @@ def _find_short_block(d: Digraph, k1: int) -> SubdivisionCertificate | NotFound:
 
 
 class _GoodPathState:
-    """The good path, its two out-forks, and scratch reachability data."""
+    """The good path and its two out-forks."""
 
     __slots__ = ("p0", "p1", "p2")
 
@@ -165,7 +165,7 @@ def _round(d: Digraph, state: _GoodPathState, k1: int, k2: int, budget: SearchBu
         region, parent = bfs_levels(d, tip, avoid=avoid, budget=budget, phase="reach")
         found = _attachments(d, region, spine_targets, p0)
         if found:
-            sides[tip] = (region, parent, found)
+            sides[tip] = (parent, found)
             continue
         grown = _improve(d, state, mine, k2, avoid)
         if grown is not None:
@@ -176,10 +176,10 @@ def _round(d: Digraph, state: _GoodPathState, k1: int, k2: int, budget: SearchBu
         )
 
     # take the fork with the farthest attachment as the long side
-    if min(sides[p1[-1]][2]) > min(sides[p2[-1]][2]):
+    if min(sides[p1[-1]][1]) > min(sides[p2[-1]][1]):
         state = _GoodPathState(p0, p2, p1)
         p1, p2 = p2, p1
-    region_a, parent_a, found_a = sides[p1[-1]]
+    parent_a, found_a = sides[p1[-1]]
     return _endgame(d, state, k1, k2, budget, parent_a, found_a)
 
 

@@ -15,6 +15,7 @@ from digraphsub.cab import (
     reduce_girth,
 )
 from digraphsub.core import (
+    Digraph,
     bioriented_clique,
     build_digraph,
     directed_cycle,
@@ -30,6 +31,7 @@ from digraphsub.errors import (
     PropertyViolated,
     RetriesExhausted,
 )
+from digraphsub.cycle_embed import certificate_from_cycle, digraph_cycle_shape
 from digraphsub.gadgets import CabParams, Chain, GadgetKind, validate_gadget
 from digraphsub.oracle import (
     ContractionRecord,
@@ -502,6 +504,21 @@ class TestChainMachineEndToEnd:
         assert out.reason == "degree-below-threshold"
         assert out.details["witness"] == (63, (63,))
 
+    def test_trim_cuts_rows_past_the_degree_level(self):
+        # the ring plus arcless vertices and a hub with an arc to every
+        # other vertex: the hub's is the one row longer than k, and
+        # trimming keeps its k lowest out-neighbours
+        k = CabParams(a=2, b=1).k
+        hub = k + 585
+        d = build_digraph(hub + 1, [
+            *synthetic.ring_of_cycle_gadgets(192).arcs(), *((hub, v) for v in range(hub)),
+        ])
+        log = []
+        cert = find_cab(d, 2, 1, log=log)
+        assert log[0] == {"event": "trim", "arcs_removed": 585}
+        trimmed = Digraph(d.n, tuple(d.out_nbrs(v)[:k] for v in d.vertices()))
+        assert cert == find_cab(trimmed, 2, 1)
+
     def test_ring_of_dominating_gadgets(self):
         from digraphsub.synthetic import ring_of_dominating_gadgets
 
@@ -656,34 +673,87 @@ class TestDispatchLadder:
         assert validate_certificate(host, pattern_cab(4, 4), cert)
 
     def test_reduction_failure_path_is_honest(self):
-        # digon-rich host: the growth loop stalls on girth, the reduction
-        # retry cannot reach the derived degree level, and the original
-        # stuck state comes back
+        # digon-rich host: the growth loop stalls on girth and its stuck
+        # state comes back
         pattern = pattern_cab(2, 2)
         d = bioriented_clique(12)
-        out = find_oriented_cycle_subdivision(d, pattern, budget=20000, seed=3)
+        out = find_oriented_cycle_subdivision(d, pattern, budget=20000)
         assert isinstance(out, NotFound)
         assert out.reason
 
-    def test_one_allowance_for_both_cab_attempts(self, monkeypatch):
+    def test_one_cab_call_gets_the_callers_budget_and_log(self, monkeypatch):
         seen = []
 
         def fake_find_cab(d, a, b, budget=None, log=None):
-            seen.append(budget)
+            seen.append((budget, log))
             return NotFound("stub", {})
 
         monkeypatch.setattr(cab, "find_cab", fake_find_cab)
-        monkeypatch.setattr(cab, "reduce_girth", lambda d, k, g, seed=None: (d, list(range(d.n))))
-        out = find_oriented_cycle_subdivision(bioriented_clique(5), pattern_cab(2, 1), budget=1000)
-        assert isinstance(out, NotFound)
-        assert len(seen) == 2
-        assert isinstance(seen[0], SearchBudget) and seen[0].max_nodes == 1000
-        assert seen[0] is seen[1]
+        budget, log = SearchBudget(max_nodes=1000), []
+        out = find_oriented_cycle_subdivision(bioriented_clique(5), pattern_cab(2, 1), budget, log)
+        assert out == NotFound("stub", {})
+        assert len(seen) == 1
+        assert seen[0][0] is budget and seen[0][1] is log
+
+    @pytest.mark.parametrize("a, b", [(2, 1), (3, 1), (2, 2)])
+    def test_cab_route_misses_exactly_as_find_cab(self, a, b):
+        rng = random.Random(16 + 10 * a + b)
+        misses = 0
+        for _ in range(6):
+            d = rand_digraph(rng, rng.randrange(20, 60), rng.uniform(0.05, 0.3))
+            direct = find_cab(d, a, b, 10**5)
+            if isinstance(direct, NotFound):
+                misses += 1
+                assert find_oriented_cycle_subdivision(d, pattern_cab(a, b), 10**5) == direct
+        assert misses
+
+    def test_every_found_cycle_reads_off_as_the_orientation(self, monkeypatch):
+        # every non-directed orientation of length 3..10 against a host
+        # that is exactly a C_{a,b} (or, with one source, C(k1, k2))
+        # subdivision whose blocks are up to 2 longer than needed: the
+        # router's re-reading never misses, so it raises on a miss
+        def two_block_read_off(d, k1, k2, budget=None, log=None):
+            return certificate_from_cycle(set(d.arcs()), pattern_two_block(k1, k2), d)
+
+        monkeypatch.setattr(cab, "find_two_block", two_block_read_off)
+        rng = random.Random(16)
+        checked = 0
+        for length in range(3, 11):
+            for mask in range(1, 2**length - 1):
+                orientation = build_digraph(length, [
+                    (i, (i + 1) % length) if mask >> i & 1 else ((i + 1) % length, i)
+                    for i in range(length)
+                ])
+                shape = digraph_cycle_shape(orientation)
+                lens = sorted((len(blk.path) - 1 for blk in shape.blocks), reverse=True)
+                if shape.sources == 1:
+                    host_lens = [k + rng.randint(0, 2) for k in lens]
+                else:
+                    host_lens = [lens[0] + rng.randint(0, 2) for _ in lens]
+                host = _alternating_cycle(host_lens)
+                cert = find_oriented_cycle_subdivision(host, orientation)
+                assert validate_certificate(host, orientation, cert)
+                checked += 1
+        assert checked == 2024
 
     def test_no_arcs(self):
         from digraphsub.core import build_digraph
 
         assert find_cab(build_digraph(5, []), 2, 1).reason == "no-seedable-arc"
+
+
+def _alternating_cycle(block_lens: list[int]) -> Digraph:
+    """One oriented cycle whose blocks, in cyclic order, have the given
+    lengths (an even number of them) and alternate in direction."""
+    n = sum(block_lens)
+    arcs, start = [], 0
+    for i, length in enumerate(block_lens):
+        run = [(start + j) % n for j in range(length + 1)]
+        if i % 2:
+            run.reverse()
+        arcs.extend(zip(run, run[1:]))
+        start += length
+    return build_digraph(n, arcs)
 
 
 class TestGoldenAnswers:

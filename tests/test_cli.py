@@ -197,6 +197,14 @@ class TestVerify:
         assert code == 0
         assert "all-contain" in csv_out.read_text()
 
+    def test_sampled_sweep(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["verify", "--pattern", "k3e", "--k", "2", "--n-max", "7", "--mode", "sampled",
+                     "--samples", "20", "--seed", "4", "--out", str(out)])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert (report["mode"], report["checked"], report["seed"]) == ("sampled", 20, 4)
+
     def test_finder_out_of_budget_exit_2(self):
         # the two-block finder runs out of its one node, and so does the
         # oracle's re-check: an inconclusive sweep, not a traceback

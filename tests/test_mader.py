@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -108,6 +109,14 @@ class TestVerifyUpper:
         report = verify_upper(k3_minus_e(), 1, 3, finder=exhausted)
         assert report.outcome == "counterexample"
         assert report.counterexample == build_digraph(2, [(0, 1), (1, 0)])
+
+    def test_sampled_sweep_is_seeded(self):
+        report = verify_upper(k3_minus_e(), 2, 7, mode="sampled", pattern_name="k3e",
+                              samples=30, seed=5)
+        assert report.outcome == "all-contain" and report.checked == 30
+        assert report.seed == 5 and json.loads(report.to_json())["seed"] == 5
+        assert report == verify_upper(k3_minus_e(), 2, 7, mode="sampled", pattern_name="k3e",
+                                      samples=30, seed=5)
 
     def test_report_serialisation(self):
         report = verify_upper(k3_minus_e(), 1, 3, pattern_name="k3e")
