@@ -24,6 +24,7 @@ from digraphsub.core import (
     pattern_cab,
     pattern_two_block,
 )
+from digraphsub.cycle_embed import certificate_from_cycle, digraph_cycle_shape
 from digraphsub.errors import (
     BudgetExceeded,
     DegeneratePattern,
@@ -31,7 +32,6 @@ from digraphsub.errors import (
     PropertyViolated,
     RetriesExhausted,
 )
-from digraphsub.cycle_embed import certificate_from_cycle, digraph_cycle_shape
 from digraphsub.gadgets import CabParams, Chain, GadgetKind, validate_gadget
 from digraphsub.oracle import (
     ContractionRecord,
@@ -712,10 +712,16 @@ class TestDispatchLadder:
         # that is exactly a C_{a,b} (or, with one source, C(k1, k2))
         # subdivision whose blocks are up to 2 longer than needed: the
         # router's re-reading never misses, so it raises on a miss
-        def two_block_read_off(d, k1, k2, budget=None, log=None):
-            return certificate_from_cycle(set(d.arcs()), pattern_two_block(k1, k2), d)
+        calls = []
 
-        monkeypatch.setattr(cab, "find_two_block", two_block_read_off)
+        def read_off(make_pattern):
+            def finder(d, x, y, budget=None, log=None):
+                calls.append((x, y))
+                return certificate_from_cycle(set(d.arcs()), make_pattern(x, y), d)
+            return finder
+
+        monkeypatch.setattr(cab, "find_cab", read_off(pattern_cab))
+        monkeypatch.setattr(cab, "find_two_block", read_off(pattern_two_block))
         rng = random.Random(16)
         checked = 0
         for length in range(3, 11):
@@ -727,11 +733,14 @@ class TestDispatchLadder:
                 shape = digraph_cycle_shape(orientation)
                 lens = sorted((len(blk.path) - 1 for blk in shape.blocks), reverse=True)
                 if shape.sources == 1:
+                    params = (lens[0], lens[1])
                     host_lens = [k + rng.randint(0, 2) for k in lens]
                 else:
+                    params = (shape.sources, lens[0])
                     host_lens = [lens[0] + rng.randint(0, 2) for _ in lens]
                 host = _alternating_cycle(host_lens)
                 cert = find_oriented_cycle_subdivision(host, orientation)
+                assert calls.pop() == params
                 assert validate_certificate(host, orientation, cert)
                 checked += 1
         assert checked == 2024
