@@ -19,17 +19,15 @@ against the pattern before being returned.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import chain
 
 from .core import (
     Digraph,
     Path,
     bfs_levels,
     bfs_path,
-    build_digraph,
     directed_girth,
     greedy_maximal_path,
-    min_out_degree,
     path_to,
     pattern_cab,
 )
@@ -124,15 +122,17 @@ def reduce_girth(d: Digraph, k: int, g: int, seed=None,
     instance is small (``n * m`` at most ``_GIRTH_CHECK_WORK``).
 
     Returns the subgraph together with the list of original vertex ids;
-    vertex i of the subgraph is ``kept[i]`` in the input.
+    vertex i of the subgraph is ``kept[i]`` in the input.  The arcs stay
+    in numpy arrays from the input's rows to the subgraph's; numpy is
+    imported here, so that importing the package does not load it.
     """
     if k < 0 or g < 1:
         raise BadParams("need k >= 0 and g >= 1")
-    arcs = list(d.arcs())
-    if not arcs:
+    if d.m == 0:
         raise RetriesExhausted("no arcs to filter")
-    tails = np.fromiter((u for u, _ in arcs), dtype=np.int64, count=len(arcs))
-    heads = np.fromiter((v for _, v in arcs), dtype=np.int64, count=len(arcs))
+    import numpy as np
+
+    _, tails, heads = _arc_arrays(np, d)
     rng = np.random.default_rng(seed)
 
     for _ in range(max_retries):
@@ -140,46 +140,74 @@ def reduce_girth(d: Digraph, k: int, g: int, seed=None,
         keep = levels[heads] == (levels[tails] + 1) % g
         kt = tails[keep]
         kh = heads[keep]
-        survivors = _peel(d.n, kt, kh, k)
+        alive = _peel(np, d.n, kt, kh, k)
+        survivors = np.flatnonzero(alive)
         if survivors.size == 0:
             continue
-        keep_pair = np.isin(kt, survivors) & np.isin(kh, survivors)
-        kept_ids = sorted(int(v) for v in survivors)
-        index = {v: i for i, v in enumerate(kept_ids)}
-        sub = build_digraph(
-            len(kept_ids),
-            [(index[int(u)], index[int(v)]) for u, v in zip(kt[keep_pair], kh[keep_pair])],
+        both = alive[kt] & alive[kh]
+        # the kept arcs are still sorted by (tail, head) and renumbering
+        # by rank keeps that order, so cutting the heads at the tails'
+        # counts gives the subgraph's rows
+        rank = np.cumsum(alive) - 1
+        bounds = np.cumsum(np.bincount(kt[both], minlength=d.n)[survivors]).tolist()
+        new_heads = rank[kh[both]].tolist()
+        # every entry is the one int object of its id: rows of fresh ints
+        # (plain ``tolist`` slices) slow every later walk over the subgraph
+        ids = list(range(survivors.size))
+        rows = tuple(
+            tuple(map(ids.__getitem__, new_heads[lo:hi]))
+            for lo, hi in zip([0] + bounds, bounds)
         )
-        if min_out_degree(sub) < k:
+        sub = Digraph(len(ids), rows)
+        deg, sub_tails, sub_heads = _arc_arrays(np, sub)
+        if deg.min() < k:
             raise InvariantViolation("peeling left a vertex of out-degree below k")
-        lv = {i: int(levels[v]) for v, i in index.items()}
-        if not all((lv[u] + 1) % g == lv[v] for u, v in sub.arcs()):
+        sub_levels = levels[survivors]
+        if not np.array_equal((sub_levels[sub_tails] + 1) % g, sub_levels[sub_heads]):
             raise InvariantViolation("level invariant broken")
         if sub.n * sub.m <= _GIRTH_CHECK_WORK and directed_girth(sub) < g:
             raise InvariantViolation("reduced graph has a cycle shorter than g")
-        return sub, kept_ids
+        return sub, survivors.tolist()
     raise RetriesExhausted(f"no qualifying subgraph in {max_retries} attempts")
 
 
-def _peel(n: int, tails, heads, k: int) -> np.ndarray:
-    """Iteratively drop vertices of out-degree below k; return survivors."""
-    alive = np.ones(n, dtype=bool)
+def _arc_arrays(np, d: Digraph):
+    """Out-degrees, tails and heads of ``d``'s arcs in row order, as
+    int64 arrays (``np`` is the numpy module)."""
+    deg = np.fromiter(map(d.out_degree, d.vertices()), dtype=np.int64, count=d.n)
+    tails = np.repeat(np.arange(d.n, dtype=np.int64), deg)
+    heads = np.fromiter(chain.from_iterable(map(d.out_nbrs, d.vertices())),
+                        dtype=np.int64, count=tails.size)
+    return deg, tails, heads
+
+
+def _peel(np, n: int, tails, heads, k: int):
+    """Iteratively drop vertices of out-degree below k; return the
+    boolean mask of survivors (``np`` is the numpy module).
+
+    The survivors are the largest vertex set in which every vertex keeps
+    k out-arcs, whatever the order of dropping, so only the vertices
+    that drop are visited, through a CSR of in-lists built on demand.
+    """
     out_deg = np.bincount(tails, minlength=n)
-    in_lists: dict[int, list[int]] = {}
-    for t, h in zip(tails.tolist(), heads.tolist()):
-        in_lists.setdefault(h, []).append(t)
-    queue = [v for v in range(n) if out_deg[v] < k]
-    for v in queue:
-        alive[v] = False
+    alive = out_deg >= k
+    queue = np.flatnonzero(~alive).tolist()
+    if not queue:
+        return alive
+    order = np.argsort(heads, kind="stable")
+    in_tails = tails[order].tolist()
+    starts = [0] + np.cumsum(np.bincount(heads, minlength=n)).tolist()
+    live = alive.tolist()
+    deg = out_deg.tolist()
     while queue:
         v = queue.pop()
-        for t in in_lists.get(v, ()):
-            if alive[t]:
-                out_deg[t] -= 1
-                if out_deg[t] < k:
-                    alive[t] = False
+        for t in in_tails[starts[v]:starts[v + 1]]:
+            if live[t]:
+                deg[t] -= 1
+                if deg[t] < k:
+                    live[t] = False
                     queue.append(t)
-    return np.flatnonzero(alive)
+    return np.array(live, dtype=bool)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,8 @@ def build_digraph(n: int, arcs: Iterable[Arc]) -> Digraph:
     """Digraph with exactly the given arcs; duplicates collapse."""
     rows: list[set[int]] = [set() for _ in range(n)]
     for u, v in arcs:
-        _check_arc(n, u, v)
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            _check_arc(n, u, v)  # raises the named error
         rows[u].add(v)
     return Digraph(n, tuple(tuple(sorted(r)) for r in rows))
 

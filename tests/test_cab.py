@@ -3,6 +3,7 @@ import math
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from digraphsub import cab, gadgets, synthetic
@@ -26,8 +27,11 @@ from digraphsub.core import (
 )
 from digraphsub.cycle_embed import certificate_from_cycle, digraph_cycle_shape
 from digraphsub.errors import (
+    BadParams,
     BudgetExceeded,
     DegeneratePattern,
+    DigraphError,
+    InvariantViolation,
     PreconditionUnverifiable,
     PropertyViolated,
     RetriesExhausted,
@@ -100,6 +104,139 @@ class TestReduceGirth:
         s1, k1 = reduce_girth(d, 2, 4, seed=11)
         s2, k2 = reduce_girth(d, 2, 4, seed=11)
         assert k1 == k2 and s1 == s2
+
+    def test_numpy_is_not_loaded_by_import(self):
+        proc = run_script("""
+            import sys
+            import digraphsub, digraphsub.cli
+            print("numpy" in sys.modules)
+        """)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_rows_share_one_int_per_vertex(self):
+        # Rows cut from ``tolist`` slices hold one fresh int per arc.  On
+        # the criterion-6 reduced host (3,999 vertices, 99,662 arcs) that
+        # slowed find_two_block from 19.7 to 25.3 ms at (4, 2) and from
+        # 104 to 132 ms at (9, 2) (medians of 8 runs, 2 CPUs, Python
+        # 3.11) against rows whose entries are the one object of their id.
+        sub, _ = reduce_girth(_dense_out_rows(3, 600, 60), 4, 3, seed=2)
+        assert sub.n > 256  # past CPython's cached small ints
+        assert len({id(v) for row in sub._out for v in row}) <= sub.n
+
+
+def _reference_reduce_girth(d, k, g, seed=None, max_retries=64):
+    """``cab.reduce_girth`` before it ran on arc arrays end to end: arcs
+    listed as tuples, survivors relabelled through a dict and rebuilt
+    with ``build_digraph``."""
+    if k < 0 or g < 1:
+        raise BadParams("need k >= 0 and g >= 1")
+    arcs = list(d.arcs())
+    if not arcs:
+        raise RetriesExhausted("no arcs to filter")
+    tails = np.fromiter((u for u, _ in arcs), dtype=np.int64, count=len(arcs))
+    heads = np.fromiter((v for _, v in arcs), dtype=np.int64, count=len(arcs))
+    rng = np.random.default_rng(seed)
+
+    for _ in range(max_retries):
+        levels = rng.integers(0, g, size=d.n)
+        keep = levels[heads] == (levels[tails] + 1) % g
+        kt = tails[keep]
+        kh = heads[keep]
+        survivors = _reference_peel(d.n, kt, kh, k)
+        if survivors.size == 0:
+            continue
+        keep_pair = np.isin(kt, survivors) & np.isin(kh, survivors)
+        kept_ids = sorted(int(v) for v in survivors)
+        index = {v: i for i, v in enumerate(kept_ids)}
+        sub = build_digraph(
+            len(kept_ids),
+            [(index[int(u)], index[int(v)]) for u, v in zip(kt[keep_pair], kh[keep_pair])],
+        )
+        if min_out_degree(sub) < k:
+            raise InvariantViolation("peeling left a vertex of out-degree below k")
+        lv = {i: int(levels[v]) for v, i in index.items()}
+        if not all((lv[u] + 1) % g == lv[v] for u, v in sub.arcs()):
+            raise InvariantViolation("level invariant broken")
+        if sub.n * sub.m <= cab._GIRTH_CHECK_WORK and directed_girth(sub) < g:
+            raise InvariantViolation("reduced graph has a cycle shorter than g")
+        return sub, kept_ids
+    raise RetriesExhausted(f"no qualifying subgraph in {max_retries} attempts")
+
+
+def _reference_peel(n, tails, heads, k):
+    alive = np.ones(n, dtype=bool)
+    out_deg = np.bincount(tails, minlength=n)
+    in_lists = {}
+    for t, h in zip(tails.tolist(), heads.tolist()):
+        in_lists.setdefault(h, []).append(t)
+    queue = [v for v in range(n) if out_deg[v] < k]
+    for v in queue:
+        alive[v] = False
+    while queue:
+        v = queue.pop()
+        for t in in_lists.get(v, ()):
+            if alive[t]:
+                out_deg[t] -= 1
+                if out_deg[t] < k:
+                    alive[t] = False
+                    queue.append(t)
+    return np.flatnonzero(alive)
+
+
+def _dense_out_rows(seed, n, k):
+    """n vertices, each with exactly k distinct random out-neighbours,
+    given as sorted rows (the large-hosts benchmark's host shape)."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for u in range(n):
+        row = rng.choice(n - 1, size=k, replace=False)
+        row = row + (row >= u)
+        rows.append(tuple(sorted(row.tolist())))
+    return Digraph(n, tuple(rows))
+
+
+def _reduce_or_error(fn, d, k, g, seed, max_retries):
+    try:
+        sub, kept = fn(d, k, g, seed=seed, max_retries=max_retries)
+    except DigraphError as err:
+        return type(err), str(err)
+    return sub, sub._in, kept
+
+
+class TestReduceGirthDifferential:
+    """The array pipeline against the tuple-and-dict reference: equal
+    ``(sub, kept)``, in-lists and errors, retry for retry."""
+
+    PARAMS = ((0, 1), (1, 1), (2, 1), (0, 3), (1, 2), (2, 3), (3, 4), (1, 5), (2, 2), (4, 3))
+
+    def test_random_hosts(self):
+        rng = random.Random(20240617)
+        cases = 0
+        for i in range(330):
+            n = rng.randint(2, 40)
+            d = rand_digraph(rng, n, rng.choice((0.0, 0.05, 0.15, 0.3, 0.6, 0.9)))
+            k, g = self.PARAMS[i % len(self.PARAMS)]
+            max_retries = rng.choice((1, 2, 8, 64))
+            got = _reduce_or_error(reduce_girth, d, k, g, i, max_retries)
+            want = _reduce_or_error(_reference_reduce_girth, d, k, g, i, max_retries)
+            assert got == want, (i, n, d.m, k, g, max_retries)
+            cases += 1
+        assert cases >= 300
+
+    @pytest.mark.parametrize("k, g", [(-1, 2), (1, 0), (0, 1), (2, 3)])
+    def test_edge_hosts(self, k, g):
+        for d in (build_digraph(5, []), directed_cycle(6), bioriented_clique(6)):
+            for max_retries in (0, 1, 3):
+                got = _reduce_or_error(reduce_girth, d, k, g, 7, max_retries)
+                want = _reduce_or_error(_reference_reduce_girth, d, k, g, 7, max_retries)
+                assert got == want
+
+    def test_large_dense_host(self):
+        d = _dense_out_rows(11, 2000, 100)
+        got = _reduce_or_error(reduce_girth, d, 8, 5, 3, 64)
+        assert got == _reduce_or_error(_reference_reduce_girth, d, 8, 5, 3, 64)
+        assert got[0].m > 0
 
 
 def _walk_closure_host(b):

@@ -70,6 +70,21 @@ class TestBuild:
         with pytest.raises(VertexOutOfRange):
             build_digraph(2, [(0, 2)])
 
+    @pytest.mark.parametrize("arc, error, text", [
+        ((0, 0), LoopArc, "loop arc (0, 0)"),
+        ((1, 1), LoopArc, "loop arc (1, 1)"),
+        ((0, 2), VertexOutOfRange, "arc (0, 2) outside 0..1"),
+        ((2, 0), VertexOutOfRange, "arc (2, 0) outside 0..1"),
+        ((-1, 0), VertexOutOfRange, "arc (-1, 0) outside 0..1"),
+        ((0, -1), VertexOutOfRange, "arc (0, -1) outside 0..1"),
+        ((2, 2), VertexOutOfRange, "arc (2, 2) outside 0..1"),
+        ((-1, -1), VertexOutOfRange, "arc (-1, -1) outside 0..1"),
+    ])
+    def test_bad_arc_errors(self, arc, error, text):
+        with pytest.raises(error) as info:
+            build_digraph(2, [(0, 1), arc, (1, 0)])
+        assert str(info.value) == text
+
     def test_duplicates_collapse(self):
         d = build_digraph(2, [(0, 1), (0, 1)])
         assert d.m == 1
