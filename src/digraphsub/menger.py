@@ -9,6 +9,15 @@ computation keeps plain unit arc capacities on the vertex ids.
 Augmenting paths always prefer lower node ids, so the returned paths
 and cuts are deterministic functions of the input.
 
+A host's split network is built once and reused by every query on it
+in turn: a query only sets its own few capacities (its internal arcs
+and its targets' sink arcs), copies fresh residual capacities, and
+sets the few entries back when it ends, also when it raises.  The
+module holds at most one network, that of the host queried last, so
+switching hosts rebuilds.  A query running in another thread meanwhile
+finds none held and builds its own; the answers never depend on which
+network a query got.
+
 Every public routine re-verifies its own answer before returning
 (paths are pairwise internally disjoint, cuts really disconnect) and
 raises ``InvariantViolation`` when the check fails; it is cheap at the
@@ -68,6 +77,8 @@ class _UnitFlow:
     original capacity ``orig[u][j]`` (0 on a reverse entry) and
     ``rev[u][j]``, the position of u in the neighbour's row.  Scanning a
     row in order prefers lower node ids, which fixes every tie-break.
+    ``cap`` is None until ``reset`` copies it from ``orig``; a held
+    split network drops it again between queries.
     """
 
     __slots__ = ("nbr", "cap", "orig", "rev")
@@ -76,11 +87,11 @@ class _UnitFlow:
         self.nbr = nbr
         self.orig = orig
         self.rev = rev
-        self.reset()
+        self.cap = None
 
     def reset(self) -> None:
         """Discard all flow."""
-        self.cap = [row[:] for row in self.orig]
+        self.cap = list(map(list.copy, self.orig))
 
     def augment(self, s: int, t: int) -> bool:
         """One BFS augmenting path; returns False when none exists."""
@@ -132,43 +143,109 @@ class _UnitFlow:
         return seen
 
 
-def _split_network(d: Digraph, inner: dict[int, int], sinks=frozenset()) -> _UnitFlow:
-    """Vertex-split copy of d: node 0 is a sink, v becomes ``in_v = 1+v``
-    and ``out_v = 1+n+v`` joined by an internal arc of capacity
-    ``inner.get(v, 1)``, and each vertex in ``sinks`` gets an arc
-    ``out_v -> 0``.
+def _split_topology(d: Digraph) -> _UnitFlow:
+    """Vertex-split copy of d at base capacities, without ``cap``.
 
-    Graph and sink arcs get capacity n, so every finite cut consists of
-    internal arcs only, i.e. corresponds to a vertex set.  Arcs are
-    linked in ascending order of their ``out_u`` (or, for an internal
-    arc, ``in_u``) end, which appends every entry to its row in
-    ascending neighbour order: no row needs sorting.
+    Node 0 is a sink, v becomes ``in_v = 1+v`` and ``out_v = 1+n+v``
+    joined by an internal arc of capacity 1, and arc (u, x) becomes
+    ``out_u -> in_x`` of capacity n.  Every ``out_v`` row starts with an
+    arc ``out_v -> 0`` of capacity 0, which a query opens to make v a
+    target, so no query changes a row's shape.  Graph and sink arcs
+    carry n, so every finite cut consists of internal arcs only, i.e.
+    corresponds to a vertex set.
+
+    Row ``out_u`` is laid out in one go; each entry's partner is
+    appended to its in-row as u ascends, so every row ascends without
+    sorting.  Every node id is one shared int object.
     """
     n = d.n
-    nbr: list[list[int]] = [[] for _ in range(2 * n + 1)]
-    orig: list[list[int]] = [[] for _ in nbr]
-    rev: list[list[int]] = [[] for _ in nbr]
-
-    def link(a: int, b: int, c: int) -> None:
-        rev[a].append(len(nbr[b]))
-        rev[b].append(len(nbr[a]))
-        nbr[a].append(b)
-        orig[a].append(c)
-        nbr[b].append(a)
-        orig[b].append(0)
-
+    ids = list(range(2 * n + 1))
+    # the sink's row and the in-rows now; out-rows are appended in order
+    nbr = [ids[n + 1 :]]
+    nbr += [[] for _ in range(n)]
+    orig = [[0] * n]
+    orig += [[] for _ in range(n)]
+    rev = [[0] * n]
+    rev += [[] for _ in range(n)]
     for u in range(n):
-        o_u = 1 + n + u
-        if u in sinks:
-            link(o_u, 0, n)
-        outs = d.out_nbrs(u)
-        k = bisect_left(outs, u)
-        for x in outs[:k]:
-            link(o_u, 1 + x, n)
-        link(1 + u, o_u, inner.get(u, 1))
-        for x in outs[k:]:
-            link(o_u, 1 + x, n)
+        o = ids[1 + n + u]
+        heads = list(d.out_nbrs(u))
+        k = bisect_left(heads, u)
+        heads.insert(k, u)  # the internal arc's reverse entry, in place
+        nbr_o = [0]
+        rev_o = [ids[u]]
+        for x in heads:
+            i = ids[1 + x]
+            rev_o.append(len(nbr[i]))
+            rev[i].append(len(nbr_o))
+            nbr_o.append(i)
+            nbr[i].append(o)
+            orig[i].append(0)
+        orig[1 + u][-1] = 1  # in_u -> out_u, just appended
+        orig_o = [n] * len(nbr_o)
+        orig_o[0] = orig_o[k + 1] = 0
+        nbr.append(nbr_o)
+        orig.append(orig_o)
+        rev.append(rev_o)
     return _UnitFlow(nbr, orig, rev)
+
+
+def _open(net: _UnitFlow, d: Digraph, inner: dict[int, int], sinks) -> None:
+    """Set one query's capacities in ``net.orig``: the internal arc of
+    each v in ``inner`` to ``inner[v]``, the sink arc of each vertex in
+    ``sinks`` to n."""
+    orig, n = net.orig, d.n
+    for v, c in inner.items():
+        orig[1 + v][bisect_left(d.in_nbrs(v), v)] = c
+    for y in sinks:
+        orig[1 + n + y][0] = n
+
+
+def _close(net: _UnitFlow, d: Digraph, inner, sinks) -> None:
+    """Undo ``_open``: the base capacities 1 and 0 again."""
+    orig, n = net.orig, d.n
+    for v in inner:
+        orig[1 + v][bisect_left(d.in_nbrs(v), v)] = 1
+    for y in sinks:
+        orig[1 + n + y][0] = 0
+
+
+def _split_network(d: Digraph, inner: dict[int, int], sinks=frozenset()) -> _UnitFlow:
+    """A fresh split network of d opened for one query for good, with
+    ``cap`` ready; no query holds it."""
+    net = _split_topology(d)
+    _open(net, d, inner, sinks)
+    net.reset()
+    return net
+
+
+# The split network of the host queried last, in a take-and-return slot
+# that holds at most one (host, network) pair.  A query pops it, keeps
+# it when its host is d itself (a Digraph is immutable) and builds d's
+# otherwise, then puts its own back.  A query running meanwhile in
+# another thread finds the slot empty and builds a network of its own.
+_held: list[tuple[Digraph, _UnitFlow]] = []
+
+
+def _on_split_network(d: Digraph, inner: dict[int, int], sinks, run):
+    """``run(net)`` on d's split network opened for one query (see
+    ``_open``).  A ``finally`` closes it again and drops ``cap``, so an
+    exception leaves a clean network in the slot."""
+    try:
+        host, net = _held.pop()
+    except IndexError:
+        host = None
+    if host is not d:
+        net = None  # drop the old network before building, so two are never alive at once
+        net = _split_topology(d)
+    try:
+        _open(net, d, inner, sinks)
+        net.reset()
+        return run(net)
+    finally:
+        _close(net, d, inner, sinks)
+        net.cap = None
+        _held[:] = ((d, net),)
 
 
 def _arc_network(d: Digraph) -> _UnitFlow:
@@ -176,7 +253,9 @@ def _arc_network(d: Digraph) -> _UnitFlow:
     nbr = [sorted({*d.out_nbrs(v), *d.in_nbrs(v)}) for v in d.vertices()]
     orig = [[1 if d.has_arc(v, w) else 0 for w in row] for v, row in enumerate(nbr)]
     rev = [[bisect_left(nbr[w], v) for w in row] for v, row in enumerate(nbr)]
-    return _UnitFlow(nbr, orig, rev)
+    net = _UnitFlow(nbr, orig, rev)
+    net.reset()
+    return net
 
 
 def _decompose_paths(net: _UnitFlow, s: int, t: int, k: int) -> list[list[int]]:
@@ -205,29 +284,32 @@ def _decompose_paths(net: _UnitFlow, s: int, t: int, k: int) -> list[list[int]]:
 def _collapse(seq: list[int], n: int) -> Path:
     """Graph vertices of a split-network sequence ``out_u, in_x, out_x,
     ..., in_y[, out_y]``: u, then the vertex of every in-node."""
-    return tuple((x - 1) % n for x in seq[:1] + seq[1::2])
+    return (seq[0] - 1 - n, *[x - 1 for x in seq[1::2]])
 
 
 def _paths_or_cut(d: Digraph, inner: dict[int, int], sinks, source: int, goal: int, k: int):
     """Split-network flow from ``source`` to ``goal``: ``(sequences, None)``
     with k node sequences when k units pass, else ``(None, cut)`` with the
     vertices whose internal arcs form the residual cut."""
-    net = _split_network(d, inner, sinks)
-    sent = net.max_flow(source, goal, k)
-    if sent >= k:
-        return _decompose_paths(net, source, goal, k), None
-    n = d.n
-    reach = net.residual_reachable(source)
-    cut = frozenset(w for w in range(n) if reach[1 + w] and not reach[1 + n + w])
-    _check(len(cut) == sent, "cut size differs from the flow value")
-    return None, cut
+
+    def run(net: _UnitFlow):
+        sent = net.max_flow(source, goal, k)
+        if sent >= k:
+            return _decompose_paths(net, source, goal, k), None
+        n = d.n
+        reach = net.residual_reachable(source)
+        cut = frozenset(w for w in range(n) if reach[1 + w] and not reach[1 + n + w])
+        _check(len(cut) == sent, "cut size differs from the flow value")
+        return None, cut
+
+    return _on_split_network(d, inner, sinks, run)
 
 
 def _disjoint_cycle_flow(d: Digraph, w: int, limit: int) -> int:
     """Max number of directed cycles through w pairwise meeting only at w,
     capped at ``limit``: flow from out_w to in_w with w's own internal
     arc closed (the oracle's disjoint-cycle filter)."""
-    return _split_network(d, {w: 0}).max_flow(1 + d.n + w, 1 + w, limit)
+    return _on_split_network(d, {w: 0}, (), lambda net: net.max_flow(1 + d.n + w, 1 + w, limit))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +365,9 @@ def fan_to_set(d: Digraph, v: int, targets, k: int) -> FanOrCut:
     fan = []
     for seq in raw:
         path = _collapse(seq[:-1], n)
-        stop = next(i for i, w in enumerate(path) if w in a)
+        for stop, w in enumerate(path):
+            if w in a:
+                break
         fan.append(path[: stop + 1])
     fan_t = tuple(fan)
     _check_fan(d, fan_t, v, a)
@@ -331,10 +415,10 @@ def _check_internally_disjoint(d: Digraph, paths, u: int, v: int) -> None:
     seen: set[int] = set()
     for p in paths:
         _check(p[0] == u and p[-1] == v and len(p) >= 2, "path has wrong ends")
-        _check(all(d.has_arc(p[i], p[i + 1]) for i in range(len(p) - 1)), "path uses a non-arc")
+        _check(all(map(d.has_arc, p, p[1:])), "path uses a non-arc")
         inner = set(p[1:-1])
         _check(len(inner) == len(p) - 2, "path repeats a vertex")
-        _check(not (inner & seen), "paths share an internal vertex")
+        _check(inner.isdisjoint(seen), "paths share an internal vertex")
         seen |= inner
 
 
@@ -342,10 +426,10 @@ def _check_fan(d: Digraph, fan, v: int, a) -> None:
     seen: set[int] = set()
     for p in fan:
         _check(p[0] == v and p[-1] in a, "fan path has wrong ends")
-        _check(all(w not in a for w in p[:-1]), "fan path crosses the target set early")
-        _check(all(d.has_arc(p[i], p[i + 1]) for i in range(len(p) - 1)), "fan path uses a non-arc")
+        _check(a.isdisjoint(p[:-1]), "fan path crosses the target set early")
+        _check(all(map(d.has_arc, p, p[1:])), "fan path uses a non-arc")
         tail = set(p[1:])
-        _check(not (tail & seen), "fan paths meet outside the apex")
+        _check(tail.isdisjoint(seen), "fan paths meet outside the apex")
         seen |= tail
 
 

@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from digraphsub.core import (
     directed_path,
     bfs_levels,
 )
+from digraphsub import menger
 from digraphsub.errors import ArcPresent, EmptyGraph, SameVertex, VertexInSet, VertexOutOfRange
 from digraphsub.menger import (
     _arc_network,
@@ -228,6 +231,156 @@ class TestSelfChecks:
         proc = run_script(script, "-O")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "raised: paths share an internal vertex"
+
+
+def _ask(d, query):
+    """One split-network query: ``("paths", u, v, k)``, ``("fan", v,
+    targets, k)`` or ``("cycles", w, limit)``."""
+    kind, *args = query
+    if kind == "paths":
+        return vertex_disjoint_paths(d, *args)
+    if kind == "fan":
+        return fan_to_set(d, *args)
+    return menger._disjoint_cycle_flow(d, *args)
+
+
+def _random_query(rng, d):
+    n = d.n
+    while True:
+        kind = rng.choice(("paths", "fan", "cycles"))
+        if kind == "cycles":
+            return kind, rng.randrange(n), rng.randrange(1, n + 1)
+        v, *others = rng.sample(range(n), rng.randrange(2, min(n, 5) + 1))
+        if kind == "fan":
+            return kind, v, frozenset(others), rng.randrange(1, 4)
+        if not d.has_arc(v, others[0]):
+            return kind, v, others[0], rng.randrange(1, 4)
+
+
+def _fresh(d, query):
+    """The answer with nothing held: the query builds d's network anew."""
+    menger._held.clear()
+    return _ask(d, query)
+
+
+class TestHeldNetwork:
+    """Each host's split network is built once and reused across queries."""
+
+    @pytest.fixture(autouse=True)
+    def empty_slot(self):
+        menger._held.clear()
+        yield
+        menger._held.clear()
+
+    def test_interleaved_hosts_match_fresh_builds(self, monkeypatch):
+        rng = random.Random(0x5107)
+        builds = []  # one n per build, so no host is kept alive here
+        build = menger._split_topology
+        monkeypatch.setattr(menger, "_split_topology", lambda d: builds.append(d.n) or build(d))
+        for _ in range(40):
+            hosts = [rand_digraph(rng, rng.randrange(4, 12), rng.uniform(0.2, 0.6)) for _ in range(rng.randrange(2, 4))]
+            script, h = [], 0
+            for _ in range(12):
+                if rng.random() < 0.4:
+                    h = rng.randrange(len(hosts))
+                script.append((h, _random_query(rng, hosts[h])))
+            expected = [_fresh(hosts[h], q) for h, q in script]
+            menger._held.clear()
+            builds.clear()
+            assert [_ask(hosts[h], q) for h, q in script] == expected
+            switches = sum(a[0] != b[0] for a, b in zip(script, script[1:]))
+            assert len(builds) == 1 + switches
+
+    def test_exception_leaves_a_clean_network(self, monkeypatch):
+        d = _without(bioriented_clique(6), [(0, 1), (3, 4)])
+        honest = [("paths", 0, 1, k) for k in (1, 4, 5)]
+        honest += [("fan", 2, frozenset({0, 1}), 2), ("fan", 5, frozenset({3}), 1), ("cycles", 0, 6)]
+        expected = [_fresh(d, q) for q in honest]
+        clean = menger._split_topology(d)
+
+        def corrupt(*args):
+            raise RuntimeError("decomposition failed")
+
+        monkeypatch.setattr(menger, "_decompose_paths", corrupt)
+        for query in (("fan", 0, frozenset({1, 3, 5}), 3), ("paths", 0, 1, 4)):
+            with pytest.raises(RuntimeError):
+                _ask(d, query)
+            ((host, net),) = menger._held
+            assert host is d and net.cap is None
+            assert net.orig == clean.orig
+        monkeypatch.undo()
+        assert [_ask(d, q) for q in honest] == expected
+
+    def test_one_build_per_host_and_no_stale_reference(self, monkeypatch):
+        rng = random.Random(0xB11D)
+        first, second = rand_out_digraph(rng, 40, 5), rand_out_digraph(rng, 40, 5)
+        builds = []  # one n per build, so no host is kept alive here
+        build = menger._split_topology
+        monkeypatch.setattr(menger, "_split_topology", lambda d: builds.append(d.n) or build(d))
+        refs = sys.getrefcount(first)
+        u, v = next((u, v) for u, v in itertools.permutations(range(40), 2) if not first.has_arc(u, v))
+        vertex_disjoint_paths(first, u, v, 3)
+        for w in (1, 2, 3):
+            fan_to_set(first, w, {w + 10, w + 20}, 2)
+        assert builds == [40]
+        fan_to_set(second, 0, {1, 2}, 2)
+        assert builds == [40, 40]
+        assert [host for host, _ in menger._held] == [second]
+        assert sys.getrefcount(first) == refs
+
+    def test_threads_sharing_the_slot_match_fresh_builds(self, monkeypatch):
+        # a query owns the network it popped; one running meanwhile finds
+        # the slot empty and builds its own.  The threads start each query
+        # together and every flow waits until each thread has its query
+        # open, so the queries overlap; they must hold distinct networks.
+        rng = random.Random(0x7EAD)
+        hosts = [rand_digraph(rng, 9, 0.4) for _ in range(2)]
+        scripts = [[(h, _random_query(rng, hosts[h])) for h in rng.choices(range(2), k=60)] for _ in range(4)]
+        expected = [[_fresh(hosts[h], q) for h, q in script] for script in scripts]
+        menger._held.clear()
+        open_nets, distinct = [], []
+
+        def all_open():
+            distinct.append(len(set(map(id, open_nets))) == len(scripts))
+            open_nets.clear()
+
+        in_flow = threading.Barrier(len(scripts), action=all_open, timeout=30)
+        next_query = threading.Barrier(len(scripts), timeout=30)
+        flow = menger._UnitFlow.max_flow
+
+        def overlapping_flow(net, *args):
+            open_nets.append(net)
+            in_flow.wait()
+            return flow(net, *args)
+
+        monkeypatch.setattr(menger._UnitFlow, "max_flow", overlapping_flow)
+        answers = [None] * len(scripts)
+
+        def work(i):
+            answers[i] = []
+            try:
+                for h, q in scripts[i]:
+                    next_query.wait()
+                    answers[i].append(_ask(hosts[h], q))
+            except BaseException:
+                in_flow.abort()  # release the others at once
+                next_query.abort()
+                raise
+
+        workers = [threading.Thread(target=work, args=(i,)) for i in range(len(scripts))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert distinct == [True] * 60
+        assert answers == expected
+        assert len(menger._held) <= 1
 
 
 class TestGoldenAnswers:
