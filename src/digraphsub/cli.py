@@ -135,13 +135,15 @@ def cmd_find(args) -> int:
         pattern, finder = _resolve(args.pattern, args.budget)
         found = finder(d, log)
     except BudgetExceeded as exc:
-        print(f"budget exhausted: {exc.details}")
-        return EXIT_BUDGET
+        found = exc
     except (BadParams, DegeneratePattern) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.log:
         _write(args.log, "\n".join(json.dumps(e) for e in log) + "\n" if log else "")
+    if isinstance(found, BudgetExceeded):
+        print(f"budget exhausted: {found.details}")
+        return EXIT_BUDGET
     if isinstance(found, NotFound):
         print(f"not found: {found.reason} {json.dumps(found.details, default=str)}")
         return EXIT_NOT_FOUND
@@ -171,24 +173,24 @@ def cmd_check(args) -> int:
 def cmd_verify(args) -> int:
     try:
         pattern, finder = _resolve(args.pattern, args.budget)
+        # only these finders are proved at degrees a sweep can reach; the
+        # oracle decides every other pattern alone
+        if _split_spec(args.pattern)[0] not in ("k3e", "twoblock"):
+            finder = None
+        report = verify_upper(
+            pattern,
+            args.k,
+            args.n_max,
+            mode=args.mode,
+            pattern_name=args.pattern,
+            finder=finder,
+            samples=args.samples,
+            seed=args.seed,
+            budget=args.budget,
+        )
     except (BadParams, DegeneratePattern) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # only these finders are proved at degrees a sweep can reach; the
-    # oracle decides every other pattern alone
-    if _split_spec(args.pattern)[0] not in ("k3e", "twoblock"):
-        finder = None
-    report = verify_upper(
-        pattern,
-        args.k,
-        args.n_max,
-        mode=args.mode,
-        pattern_name=args.pattern,
-        finder=finder,
-        samples=args.samples,
-        seed=args.seed,
-        budget=args.budget,
-    )
     if args.out:
         _write(args.out, report.to_json() + "\n")
     if args.csv:

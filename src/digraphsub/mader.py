@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .core import Digraph, bioriented_clique, build_digraph
-from .errors import BudgetExceeded, InvariantViolation, TooLarge
+from .errors import BadParams, BudgetExceeded, InvariantViolation, TooLarge
 from .oracle import DEFAULT_BUDGET, contains_subdivision, require_valid
 
 EXHAUSTIVE_LIMIT = 5
@@ -155,10 +155,15 @@ def verify_upper(
     being reported as a counterexample.
     Without a finder the exhaustive oracle decides directly.  An
     exhaustive sweep past ``EXHAUSTIVE_LIMIT`` vertices raises
-    ``TooLarge`` before any host is checked.
+    ``TooLarge``, and a sampled one whose ``n_max`` leaves no host size
+    (below ``max(tested_degree + 1, 3)``) raises ``BadParams``, both
+    before any host is checked.
     """
     if mode == "exhaustive" and n_max > EXHAUSTIVE_LIMIT:
         raise TooLarge(f"exhaustive enumeration capped at {EXHAUSTIVE_LIMIT} vertices")
+    n_min = max(tested_degree + 1, 3)
+    if mode == "sampled" and n_max < n_min:
+        raise BadParams(f"a sampled sweep at degree {tested_degree} needs n_max >= {n_min}")
     checked = 0
     budget_failures = 0
 
@@ -185,7 +190,7 @@ def verify_upper(
         else:
             rng = random.Random(seed)
             for _ in range(samples):
-                n = rng.randrange(max(tested_degree + 1, 3), n_max + 1)
+                n = rng.randrange(n_min, n_max + 1)
                 yield sample_digraph(rng, n, tested_degree)
 
     counterexample = None

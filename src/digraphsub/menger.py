@@ -3,20 +3,19 @@
 Everything here reduces to unit-capacity max-flow with breadth-first
 augmenting paths (Even & Tarjan 1975) on a residual network whose nodes
 are dense integers.  Vertex-disjoint variants split each vertex v into
-``in_v = 1+v`` and ``out_v = 1+n+v`` joined by a unit-capacity internal
-arc, with node 0 as an auxiliary sink; the arc-disjoint connectivity
-computation keeps plain unit arc capacities on the vertex ids.
-Augmenting paths always prefer lower node ids, so the returned paths
-and cuts are deterministic functions of the input.
+``in_v = v`` and ``out_v = n+v`` joined by a unit-capacity internal
+arc; the arc-disjoint connectivity computation keeps plain unit arc
+capacities on the vertex ids.  A flow runs from one node to a goal set
+and stops at the first goal it reaches, so a fan needs no artificial
+sink: its goals are the targets' out-nodes.  Augmenting paths always
+prefer lower node ids, so the returned paths and cuts are deterministic
+functions of the input.
 
-A host's split network is built once and reused by every query on it
-in turn: a query only sets its own few capacities (its internal arcs
-and its targets' sink arcs), copies fresh residual capacities, and
-sets the few entries back when it ends, also when it raises.  The
-module holds at most one network, that of the host queried last, so
-switching hosts rebuilds.  A query running in another thread meanwhile
-finds none held and builds its own; the answers never depend on which
-network a query got.
+A host's split network is built once and never written after that:
+every query on it gets its own residual capacities and shares the rows.
+The module holds the network of the host queried last, so switching
+hosts rebuilds; threads may share it, and the answers never depend on
+which network a query got.
 
 Every public routine re-verifies its own answer before returning
 (paths are pairwise internally disjoint, cuts really disconnect) and
@@ -77,24 +76,25 @@ class _UnitFlow:
     original capacity ``orig[u][j]`` (0 on a reverse entry) and
     ``rev[u][j]``, the position of u in the neighbour's row.  Scanning a
     row in order prefers lower node ids, which fixes every tie-break.
-    ``cap`` is None until ``reset`` copies it from ``orig``; a held
-    split network drops it again between queries.
+    ``nbr``, ``orig`` and ``rev`` are never written after the build;
+    ``cap`` belongs to one flow, made by ``fresh``.
     """
 
     __slots__ = ("nbr", "cap", "orig", "rev")
 
-    def __init__(self, nbr: list[list[int]], orig: list[list[int]], rev: list[list[int]]):
+    def __init__(self, nbr: list[list[int]], orig: list[list[int]], rev: list[list[int]], cap=None):
         self.nbr = nbr
         self.orig = orig
         self.rev = rev
-        self.cap = None
+        self.cap = cap
 
-    def reset(self) -> None:
-        """Discard all flow."""
-        self.cap = list(map(list.copy, self.orig))
+    def fresh(self) -> _UnitFlow:
+        """A flow of its own on the same rows, carrying nothing yet."""
+        return _UnitFlow(self.nbr, self.orig, self.rev, list(map(list.copy, self.orig)))
 
-    def augment(self, s: int, t: int) -> bool:
-        """One BFS augmenting path; returns False when none exists."""
+    def augment(self, s: int, goals) -> bool:
+        """One BFS augmenting path from s to the first node of ``goals``
+        it reaches; returns False when none exists."""
         nbr, cap = self.nbr, self.cap
         came = [-1] * len(nbr)  # BFS parent of each reached node
         slot = [-1] * len(nbr)  # its entry in that parent's row
@@ -109,7 +109,7 @@ class _UnitFlow:
                         continue
                     came[v] = u
                     slot[v] = j
-                    if v == t:
+                    if v in goals:
                         rev = self.rev
                         while v != s:
                             u, j = came[v], slot[v]
@@ -121,9 +121,9 @@ class _UnitFlow:
             frontier = nxt
         return False
 
-    def max_flow(self, s: int, t: int, limit: int) -> int:
+    def max_flow(self, s: int, goals, limit: int) -> int:
         sent = 0
-        while sent < limit and self.augment(s, t):
+        while sent < limit and self.augment(s, goals):
             sent += 1
         return sent
 
@@ -144,122 +144,73 @@ class _UnitFlow:
 
 
 def _split_topology(d: Digraph) -> _UnitFlow:
-    """Vertex-split copy of d at base capacities, without ``cap``.
+    """Vertex-split copy of d, without ``cap``.
 
-    Node 0 is a sink, v becomes ``in_v = 1+v`` and ``out_v = 1+n+v``
-    joined by an internal arc of capacity 1, and arc (u, x) becomes
-    ``out_u -> in_x`` of capacity n.  Every ``out_v`` row starts with an
-    arc ``out_v -> 0`` of capacity 0, which a query opens to make v a
-    target, so no query changes a row's shape.  Graph and sink arcs
-    carry n, so every finite cut consists of internal arcs only, i.e.
-    corresponds to a vertex set.
+    v becomes ``in_v = v`` and ``out_v = n+v`` joined by an internal arc
+    of capacity 1, and arc (u, x) becomes ``out_u -> in_x`` of capacity
+    n, so every finite cut consists of internal arcs only, i.e.
+    corresponds to a vertex set.  One network serves every query: a
+    flow never passes through its source's or its goals' internal arcs.
 
     Row ``out_u`` is laid out in one go; each entry's partner is
     appended to its in-row as u ascends, so every row ascends without
     sorting.  Every node id is one shared int object.
     """
     n = d.n
-    ids = list(range(2 * n + 1))
-    # the sink's row and the in-rows now; out-rows are appended in order
-    nbr = [ids[n + 1 :]]
-    nbr += [[] for _ in range(n)]
-    orig = [[0] * n]
-    orig += [[] for _ in range(n)]
-    rev = [[0] * n]
-    rev += [[] for _ in range(n)]
+    ids = list(range(2 * n))
+    # the in-rows now; out-rows are appended in order
+    nbr = [[] for _ in range(n)]
+    orig = [[] for _ in range(n)]
+    rev = [[] for _ in range(n)]
     for u in range(n):
-        o = ids[1 + n + u]
+        o = ids[n + u]
         heads = list(d.out_nbrs(u))
         k = bisect_left(heads, u)
         heads.insert(k, u)  # the internal arc's reverse entry, in place
-        nbr_o = [0]
-        rev_o = [ids[u]]
+        nbr_o = []
+        rev_o = []
         for x in heads:
-            i = ids[1 + x]
-            rev_o.append(len(nbr[i]))
-            rev[i].append(len(nbr_o))
-            nbr_o.append(i)
-            nbr[i].append(o)
-            orig[i].append(0)
-        orig[1 + u][-1] = 1  # in_u -> out_u, just appended
+            rev_o.append(len(nbr[x]))
+            rev[x].append(len(nbr_o))
+            nbr_o.append(ids[x])
+            nbr[x].append(o)
+            orig[x].append(0)
+        orig[u][-1] = 1  # in_u -> out_u, just appended
         orig_o = [n] * len(nbr_o)
-        orig_o[0] = orig_o[k + 1] = 0
+        orig_o[k] = 0
         nbr.append(nbr_o)
         orig.append(orig_o)
         rev.append(rev_o)
     return _UnitFlow(nbr, orig, rev)
 
 
-def _open(net: _UnitFlow, d: Digraph, inner: dict[int, int], sinks) -> None:
-    """Set one query's capacities in ``net.orig``: the internal arc of
-    each v in ``inner`` to ``inner[v]``, the sink arc of each vertex in
-    ``sinks`` to n."""
-    orig, n = net.orig, d.n
-    for v, c in inner.items():
-        orig[1 + v][bisect_left(d.in_nbrs(v), v)] = c
-    for y in sinks:
-        orig[1 + n + y][0] = n
+# The split network of the host queried last, as a (host, network) pair
+# (a Digraph is immutable).  Its rows are only ever read, so threads
+# may share it.
+_held: tuple[Digraph, _UnitFlow] | None = None
 
 
-def _close(net: _UnitFlow, d: Digraph, inner, sinks) -> None:
-    """Undo ``_open``: the base capacities 1 and 0 again."""
-    orig, n = net.orig, d.n
-    for v in inner:
-        orig[1 + v][bisect_left(d.in_nbrs(v), v)] = 1
-    for y in sinks:
-        orig[1 + n + y][0] = 0
-
-
-def _split_network(d: Digraph, inner: dict[int, int], sinks=frozenset()) -> _UnitFlow:
-    """A fresh split network of d opened for one query for good, with
-    ``cap`` ready; no query holds it."""
-    net = _split_topology(d)
-    _open(net, d, inner, sinks)
-    net.reset()
-    return net
-
-
-# The split network of the host queried last, in a take-and-return slot
-# that holds at most one (host, network) pair.  A query pops it, keeps
-# it when its host is d itself (a Digraph is immutable) and builds d's
-# otherwise, then puts its own back.  A query running meanwhile in
-# another thread finds the slot empty and builds a network of its own.
-_held: list[tuple[Digraph, _UnitFlow]] = []
-
-
-def _on_split_network(d: Digraph, inner: dict[int, int], sinks, run):
-    """``run(net)`` on d's split network opened for one query (see
-    ``_open``).  A ``finally`` closes it again and drops ``cap``, so an
-    exception leaves a clean network in the slot."""
-    try:
-        host, net = _held.pop()
-    except IndexError:
-        host = None
-    if host is not d:
-        net = None  # drop the old network before building, so two are never alive at once
-        net = _split_topology(d)
-    try:
-        _open(net, d, inner, sinks)
-        net.reset()
-        return run(net)
-    finally:
-        _close(net, d, inner, sinks)
-        net.cap = None
-        _held[:] = ((d, net),)
+def _split_flow(d: Digraph) -> _UnitFlow:
+    """A fresh flow on d's split network, built unless it is held."""
+    global _held
+    held = _held
+    if held is None or held[0] is not d:
+        held = _held = None  # drop the old network before building, so two are never alive at once
+        held = _held = (d, _split_topology(d))
+    return held[1].fresh()
 
 
 def _arc_network(d: Digraph) -> _UnitFlow:
-    """d itself with unit arc capacities; a digon shares one entry pair."""
+    """d itself with unit arc capacities, without ``cap``; a digon
+    shares one entry pair."""
     nbr = [sorted({*d.out_nbrs(v), *d.in_nbrs(v)}) for v in d.vertices()]
     orig = [[1 if d.has_arc(v, w) else 0 for w in row] for v, row in enumerate(nbr)]
     rev = [[bisect_left(nbr[w], v) for w in row] for v, row in enumerate(nbr)]
-    net = _UnitFlow(nbr, orig, rev)
-    net.reset()
-    return net
+    return _UnitFlow(nbr, orig, rev)
 
 
-def _decompose_paths(net: _UnitFlow, s: int, t: int, k: int) -> list[list[int]]:
-    """Split a k-unit flow into k node sequences from s to t.
+def _decompose_paths(net: _UnitFlow, s: int, goals, k: int) -> list[list[int]]:
+    """Split a k-unit flow into k node sequences from s into ``goals``.
 
     Each step takes the lowest-id neighbour that still carries flow.
     Consumes the flow: every unit taken is handed back to ``net.cap``.
@@ -268,7 +219,7 @@ def _decompose_paths(net: _UnitFlow, s: int, t: int, k: int) -> list[list[int]]:
     paths = []
     for _ in range(k):
         seq = [s]
-        while (u := seq[-1]) != t:
+        while (u := seq[-1]) not in goals:
             caps, origs = cap[u], orig[u]
             for j, c in enumerate(caps):
                 if origs[j] > c:
@@ -283,33 +234,30 @@ def _decompose_paths(net: _UnitFlow, s: int, t: int, k: int) -> list[list[int]]:
 
 def _collapse(seq: list[int], n: int) -> Path:
     """Graph vertices of a split-network sequence ``out_u, in_x, out_x,
-    ..., in_y[, out_y]``: u, then the vertex of every in-node."""
-    return (seq[0] - 1 - n, *[x - 1 for x in seq[1::2]])
+    ..., in_y[, out_y]``: u, then every in-node, whose id is its vertex."""
+    return (seq[0] - n, *seq[1::2])
 
 
-def _paths_or_cut(d: Digraph, inner: dict[int, int], sinks, source: int, goal: int, k: int):
-    """Split-network flow from ``source`` to ``goal``: ``(sequences, None)``
-    with k node sequences when k units pass, else ``(None, cut)`` with the
-    vertices whose internal arcs form the residual cut."""
-
-    def run(net: _UnitFlow):
-        sent = net.max_flow(source, goal, k)
-        if sent >= k:
-            return _decompose_paths(net, source, goal, k), None
-        n = d.n
-        reach = net.residual_reachable(source)
-        cut = frozenset(w for w in range(n) if reach[1 + w] and not reach[1 + n + w])
-        _check(len(cut) == sent, "cut size differs from the flow value")
-        return None, cut
-
-    return _on_split_network(d, inner, sinks, run)
+def _paths_or_cut(d: Digraph, source: int, goals, k: int):
+    """Split-network flow from ``source`` into ``goals``: ``(sequences,
+    None)`` with k node sequences when k units pass, else ``(None, cut)``
+    with the vertices whose internal arcs form the residual cut."""
+    net = _split_flow(d)
+    sent = net.max_flow(source, goals, k)
+    if sent >= k:
+        return _decompose_paths(net, source, goals, k), None
+    n = d.n
+    reach = net.residual_reachable(source)
+    cut = frozenset(w for w in range(n) if reach[w] and not reach[n + w])
+    _check(len(cut) == sent, "cut size differs from the flow value")
+    return None, cut
 
 
 def _disjoint_cycle_flow(d: Digraph, w: int, limit: int) -> int:
     """Max number of directed cycles through w pairwise meeting only at w,
-    capped at ``limit``: flow from out_w to in_w with w's own internal
-    arc closed (the oracle's disjoint-cycle filter)."""
-    return _on_split_network(d, {w: 0}, (), lambda net: net.max_flow(1 + d.n + w, 1 + w, limit))
+    capped at ``limit``: flow from out_w to in_w (the oracle's
+    disjoint-cycle filter)."""
+    return _split_flow(d).max_flow(d.n + w, {w}, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +279,7 @@ def vertex_disjoint_paths(d: Digraph, u: int, v: int, k: int) -> PathsOrCut:
         raise ValueError("k must be >= 1")
 
     n = d.n
-    raw, cut = _paths_or_cut(d, {u: n, v: n}, frozenset(), 1 + n + u, 1 + v, k)
+    raw, cut = _paths_or_cut(d, n + u, {v}, k)
     if raw is None:
         _check(v not in cut, "cut contains the goal")
         _check_cut(d, cut, u, {v})
@@ -344,9 +292,9 @@ def vertex_disjoint_paths(d: Digraph, u: int, v: int, k: int) -> PathsOrCut:
 def fan_to_set(d: Digraph, v: int, targets, k: int) -> FanOrCut:
     """k dipaths from v into ``targets`` sharing only v, or a cut.
 
-    Realised by adding an artificial sink behind the target set and
-    asking for vertex-disjoint paths to it; each flow path is clipped at
-    its first target vertex.
+    Realised as vertex-disjoint paths from v to the targets' out-nodes;
+    a flow stops at the first target it reaches, so every path meets
+    the target set at its end only.
     """
     a = frozenset(targets)
     _check_in_range(d, (v, *a))
@@ -358,20 +306,13 @@ def fan_to_set(d: Digraph, v: int, targets, k: int) -> FanOrCut:
         raise ValueError("k must be >= 1")
 
     n = d.n
-    raw, cut = _paths_or_cut(d, {v: n}, a, 1 + n + v, 0, k)
+    raw, cut = _paths_or_cut(d, n + v, {n + y for y in a}, k)
     if raw is None:
         _check_cut(d, cut, v, a)
         return FanOrCut(fan=None, cut=cut)
-    fan = []
-    for seq in raw:
-        path = _collapse(seq[:-1], n)
-        for stop, w in enumerate(path):
-            if w in a:
-                break
-        fan.append(path[: stop + 1])
-    fan_t = tuple(fan)
-    _check_fan(d, fan_t, v, a)
-    return FanOrCut(fan=fan_t, cut=None)
+    fan = tuple(_collapse(seq, n) for seq in raw)
+    _check_fan(d, fan, v, a)
+    return FanOrCut(fan=fan, cut=None)
 
 
 def strong_arc_connectivity(d: Digraph) -> int:
@@ -388,8 +329,7 @@ def strong_arc_connectivity(d: Digraph) -> int:
     best = d.m + 1
     for t in range(1, d.n):
         for s, goal in ((0, t), (t, 0)):
-            net.reset()
-            best = min(best, net.max_flow(s, goal, best))
+            best = min(best, net.fresh().max_flow(s, {goal}, best))
             if best == 0:
                 return 0
     return best

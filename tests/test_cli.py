@@ -99,6 +99,18 @@ class TestFind:
         events = [json.loads(line) for line in log.read_text().splitlines() if line]
         assert any(e["event"] == "close" for e in events)
 
+    def test_run_log_written_when_the_budget_runs_out(self, tmp_path, capsys):
+        from digraphsub.synthetic import ring_of_cycle_gadgets
+
+        host = tmp_path / "ring.edges"
+        host.write_text(write_edge_list(ring_of_cycle_gadgets(200)))
+        log = tmp_path / "run.jsonl"
+        argv = ["find", "--pattern", "cab:2,1", "--in", str(host), "--budget", "500", "--log", str(log)]
+        assert main(argv) == 2
+        assert capsys.readouterr().out.startswith("budget exhausted:")
+        events = [json.loads(line) for line in log.read_text().splitlines() if line]
+        assert events
+
     @pytest.mark.parametrize("spec", ["k3e", "twoblock:2,2"])
     def test_run_log_written_for_k3e_and_twoblock(self, spec, tmp_path):
         host = tmp_path / "k5.edges"
@@ -216,6 +228,12 @@ class TestVerify:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout.strip() == "inconclusive: checked 1 hosts, 1 budget failures"
+
+    def test_sampled_n_max_below_the_smallest_host_exit_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(mader, "sample_digraph", None)
+        argv = ["verify", "--pattern", "k3e", "--k", "2", "--mode", "sampled", "--n-max", "2"]
+        assert main(argv) == 4
+        assert "needs n_max >= 3" in capsys.readouterr().err
 
     def test_exhaustive_past_the_limit_exit_4(self, monkeypatch, capsys):
         # the size check comes before any host is enumerated or searched

@@ -351,22 +351,61 @@ class TestChainAltPath:
         # spine 0..5; the last eligible gadget arc carries a merge gadget,
         # so the detour through its meeting point must appear in the output
         b = 1
-        spine = (0, 1, 2, 3, 4, 5)
-        g0 = Gadget(kind=GadgetKind.TYPE_I, p=0, q=1, cycle=(0, 1, 6, 7))
-        g1 = Gadget(kind=GadgetKind.TYPE_II_BASIC, p=2, q=3, r=8, p1=(8, 2))
-        g2 = Gadget(kind=GadgetKind.TYPE_III, p=3, q=4, r=11, p1=(3, 9, 11), p2=(4, 10, 11))
-        arcs = {
-            (0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
-            (1, 6), (6, 7), (7, 0),
-            (8, 2), (8, 3),
-            (3, 9), (9, 11), (4, 10), (10, 11),
-        }
-        chain = Chain(spine=spine, gadgets={0: g0, 2: g1, 3: g2})
-        host = _host(arcs)
-        assert validate_chain(host, chain, b, 4)
-        r = chain_alt_path(chain, 2, b)
+        host = _host(CHAIN_ARCS)
+        assert validate_chain(host, CHAIN_GOOD, b, 4)
+        r = chain_alt_path(CHAIN_GOOD, 2, b)
         assert r.t[0] == 11  # detours through the merge point
         assert validate_alternating_path(host, r, b, expect_strong=True)
+
+
+def _cycle_gadget(*cycle):
+    return Gadget(kind=GadgetKind.TYPE_I, p=cycle[0], q=cycle[1], cycle=cycle)
+
+
+# a valid chain at b = 1, g = 4: spine 0..5 with a cycle gadget on arc 0,
+# a dominating one on arc 2 and a merge gadget on arc 3.  Each rejection
+# case below changes the chain or its host arcs so that exactly one
+# clause of validate_chain fails.
+CHAIN_G0 = _cycle_gadget(0, 1, 6, 7)
+CHAIN_G1 = Gadget(kind=GadgetKind.TYPE_II_BASIC, p=2, q=3, r=8, p1=(8, 2))
+CHAIN_G2 = Gadget(kind=GadgetKind.TYPE_III, p=3, q=4, r=11, p1=(3, 9, 11), p2=(4, 10, 11))
+CHAIN_GOOD = Chain(spine=(0, 1, 2, 3, 4, 5), gadgets={0: CHAIN_G0, 2: CHAIN_G1, 3: CHAIN_G2})
+CHAIN_ARCS = frozenset({
+    (0, 1), (1, 2), (2, 3), (3, 4), (4, 5),
+    (1, 6), (6, 7), (7, 0),
+    (8, 2), (8, 3),
+    (3, 9), (9, 11), (4, 10), (10, 11),
+})
+CHAIN_REJECTIONS = [
+    pytest.param({"spine": (0, 1, 2, 3, 4, 5, 0)}, {(5, 0)}, set(), "spine repeats a vertex",
+                 id="repeated-spine-vertex"),
+    pytest.param({}, set(), {(4, 5)}, "spine arc absent: (4, 5)", id="absent-spine-arc"),
+    # index -1 would pass the anchoring clause by Python's negative indexing
+    pytest.param({"gadgets": {-1: _cycle_gadget(5, 0, 12, 13), 0: CHAIN_G0, 2: CHAIN_G1, 3: CHAIN_G2}},
+                 {(5, 0), (0, 12), (12, 13), (13, 5)}, set(), "gadget index -1 out of range",
+                 id="index-out-of-range"),
+    pytest.param({"gadgets": {0: CHAIN_G0, 1: trivial_gadget(1, 2), 2: CHAIN_G1, 3: CHAIN_G2}}, set(), set(),
+                 "kind trivial not allowed on a chain", id="trivial-kind"),
+    pytest.param({"gadgets": {0: CHAIN_G0, 2: CHAIN_G1, 3: CHAIN_G2, 4: _cycle_gadget(4, 12, 13, 5)}},
+                 {(4, 12), (12, 13), (13, 5), (5, 4)}, set(), "gadget at 4 not anchored to its arc",
+                 id="not-anchored"),
+    pytest.param({}, set(), {(7, 0)}, "gadget at 0: arc absent: (7, 0)", id="invalid-gadget"),
+    pytest.param({"gadgets": {0: _cycle_gadget(0, 1, 6, 5), 2: CHAIN_G1, 3: CHAIN_G2}}, {(6, 5), (5, 0)}, set(),
+                 "gadget at 0 meets the spine off its arc", id="meets-spine"),
+    pytest.param({"gadgets": {0: CHAIN_G0, 2: dataclasses.replace(CHAIN_G1, r=7, p1=(7, 2)), 3: CHAIN_G2}},
+                 {(7, 2), (7, 3)}, set(), "gadgets at 0 and 2 overlap off the spine", id="overlap"),
+]
+
+
+class TestChainRejections:
+    def test_good_chain_passes(self):
+        assert validate_chain(_host(CHAIN_ARCS, n=14), CHAIN_GOOD, 1, 4)
+
+    @pytest.mark.parametrize("changes,added,dropped,violation", CHAIN_REJECTIONS)
+    def test_each_clause_alone(self, changes, added, dropped, violation):
+        chain = dataclasses.replace(CHAIN_GOOD, **changes)
+        report = validate_chain(_host((CHAIN_ARCS | added) - dropped, n=14), chain, 1, 4)
+        assert not report and report.violation == violation
 
 
 class TestJoinAltPaths:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from digraphsub import mader
 from digraphsub.core import (
     bioriented_clique,
     build_digraph,
@@ -11,7 +12,7 @@ from digraphsub.core import (
     pattern_cab,
     pattern_two_block,
 )
-from digraphsub.errors import BudgetExceeded, TooLarge
+from digraphsub.errors import BadParams, BudgetExceeded, TooLarge
 from digraphsub.k3e import find_k3e
 from digraphsub.mader import (
     count_digraphs,
@@ -117,6 +118,13 @@ class TestVerifyUpper:
         assert report.seed == 5 and json.loads(report.to_json())["seed"] == 5
         assert report == verify_upper(k3_minus_e(), 2, 7, mode="sampled", pattern_name="k3e",
                                       samples=30, seed=5)
+
+    @pytest.mark.parametrize("k,n_max", [(2, 2), (1, 2), (4, 4), (2, -1)])
+    def test_sampled_sweep_with_no_host_size_raises_before_sampling(self, k, n_max, monkeypatch):
+        # the smallest sampled host has max(k + 1, 3) vertices
+        monkeypatch.setattr(mader, "sample_digraph", None)
+        with pytest.raises(BadParams, match=f"needs n_max >= {max(k + 1, 3)}"):
+            verify_upper(k3_minus_e(), k, n_max, mode="sampled", samples=5)
 
     def test_report_serialisation(self):
         report = verify_upper(k3_minus_e(), 1, 3, pattern_name="k3e")

@@ -18,7 +18,7 @@ from digraphsub import menger
 from digraphsub.errors import ArcPresent, EmptyGraph, SameVertex, VertexInSet, VertexOutOfRange
 from digraphsub.menger import (
     _arc_network,
-    _split_network,
+    _split_topology,
     fan_to_set,
     strong_arc_connectivity,
     vertex_disjoint_paths,
@@ -195,18 +195,16 @@ class TestResidualRows:
         # node id; ``rev`` must point at the partner entry
         for _ in range(60):
             d = rand_digraph(rng, rng.randrange(2, 10), 0.35)
-            sinks = frozenset(rng.sample(range(d.n), rng.randrange(0, d.n)))
-            for net in (_split_network(d, {0: d.n}, sinks), _arc_network(d)):
+            for net in (_split_topology(d).fresh(), _arc_network(d).fresh()):
                 for u, row in enumerate(net.nbr):
                     assert row == sorted(set(row))
                     for j, v in enumerate(row):
                         assert net.nbr[v][net.rev[u][j]] == u
                         assert net.cap[u][j] == net.orig[u][j] >= 0
-            net = _split_network(d, {0: d.n}, sinks)
+            net = _split_topology(d)
             arcs = {(u, v) for u, row in enumerate(net.nbr) for j, v in enumerate(row) if net.orig[u][j]}
             n = d.n
-            expected = {(1 + n + u, 1 + v) for u, v in d.arcs()}
-            expected |= {(1 + v, 1 + n + v) for v in range(n)} | {(1 + n + y, 0) for y in sinks}
+            expected = {(n + u, v) for u, v in d.arcs()} | {(v, n + v) for v in range(n)}
             assert arcs == expected
 
 
@@ -259,18 +257,23 @@ def _random_query(rng, d):
 
 def _fresh(d, query):
     """The answer with nothing held: the query builds d's network anew."""
-    menger._held.clear()
+    menger._held = None
     return _ask(d, query)
 
 
+def _rows(net):
+    return net.nbr, net.orig, net.rev
+
+
 class TestHeldNetwork:
-    """Each host's split network is built once and reused across queries."""
+    """Each host's split network is built once, shared by every query on
+    it and never written after its build."""
 
     @pytest.fixture(autouse=True)
-    def empty_slot(self):
-        menger._held.clear()
+    def nothing_held(self):
+        menger._held = None
         yield
-        menger._held.clear()
+        menger._held = None
 
     def test_interleaved_hosts_match_fresh_builds(self, monkeypatch):
         rng = random.Random(0x5107)
@@ -285,31 +288,40 @@ class TestHeldNetwork:
                     h = rng.randrange(len(hosts))
                 script.append((h, _random_query(rng, hosts[h])))
             expected = [_fresh(hosts[h], q) for h, q in script]
-            menger._held.clear()
+            menger._held = None
             builds.clear()
             assert [_ask(hosts[h], q) for h, q in script] == expected
             switches = sum(a[0] != b[0] for a, b in zip(script, script[1:]))
             assert len(builds) == 1 + switches
 
     def test_exception_leaves_a_clean_network(self, monkeypatch):
-        d = _without(bioriented_clique(6), [(0, 1), (3, 4)])
-        honest = [("paths", 0, 1, k) for k in (1, 4, 5)]
-        honest += [("fan", 2, frozenset({0, 1}), 2), ("fan", 5, frozenset({3}), 1), ("cycles", 0, 6)]
-        expected = [_fresh(d, q) for q in honest]
-        clean = menger._split_topology(d)
+        # random queries on one host, one of them raising once its flow
+        # has run, leave the held rows as a fresh build has them
+        rng = random.Random(0xC1EA)
+        flow = menger._UnitFlow.max_flow
 
-        def corrupt(*args):
-            raise RuntimeError("decomposition failed")
+        def raising_flow(net, *args):
+            flow(net, *args)
+            raise RuntimeError("flow failed")
 
-        monkeypatch.setattr(menger, "_decompose_paths", corrupt)
-        for query in (("fan", 0, frozenset({1, 3, 5}), 3), ("paths", 0, 1, 4)):
-            with pytest.raises(RuntimeError):
-                _ask(d, query)
-            ((host, net),) = menger._held
+        for _ in range(20):
+            d = rand_digraph(rng, rng.randrange(4, 12), rng.uniform(0.2, 0.6))
+            script = [_random_query(rng, d) for _ in range(12)]
+            expected = [_fresh(d, q) for q in script]
+            menger._held = None
+            raising = rng.randrange(len(script))
+            answers = []
+            for i, query in enumerate(script):
+                if i == raising:
+                    monkeypatch.setattr(menger._UnitFlow, "max_flow", raising_flow)
+                    with pytest.raises(RuntimeError):
+                        _ask(d, query)
+                    monkeypatch.undo()
+                answers.append(_ask(d, query))
+            assert answers == expected
+            host, net = menger._held
             assert host is d and net.cap is None
-            assert net.orig == clean.orig
-        monkeypatch.undo()
-        assert [_ask(d, q) for q in honest] == expected
+            assert _rows(net) == _rows(_split_topology(d))
 
     def test_one_build_per_host_and_no_stale_reference(self, monkeypatch):
         rng = random.Random(0xB11D)
@@ -325,31 +337,31 @@ class TestHeldNetwork:
         assert builds == [40]
         fan_to_set(second, 0, {1, 2}, 2)
         assert builds == [40, 40]
-        assert [host for host, _ in menger._held] == [second]
+        assert menger._held[0] is second
         assert sys.getrefcount(first) == refs
 
-    def test_threads_sharing_the_slot_match_fresh_builds(self, monkeypatch):
-        # a query owns the network it popped; one running meanwhile finds
-        # the slot empty and builds its own.  The threads start each query
-        # together and every flow waits until each thread has its query
-        # open, so the queries overlap; they must hold distinct networks.
+    def test_threads_sharing_the_network_match_fresh_builds(self, monkeypatch):
+        # queries in several threads share the held rows, and each flow
+        # owns its residual capacities.  The threads start each query
+        # together and every flow waits until each thread has its flow
+        # made, so the queries overlap; their ``cap`` lists must differ.
         rng = random.Random(0x7EAD)
         hosts = [rand_digraph(rng, 9, 0.4) for _ in range(2)]
         scripts = [[(h, _random_query(rng, hosts[h])) for h in rng.choices(range(2), k=60)] for _ in range(4)]
         expected = [[_fresh(hosts[h], q) for h, q in script] for script in scripts]
-        menger._held.clear()
-        open_nets, distinct = [], []
+        menger._held = None
+        open_caps, distinct = [], []
 
         def all_open():
-            distinct.append(len(set(map(id, open_nets))) == len(scripts))
-            open_nets.clear()
+            distinct.append(len(set(map(id, open_caps))) == len(scripts))
+            open_caps.clear()
 
         in_flow = threading.Barrier(len(scripts), action=all_open, timeout=30)
         next_query = threading.Barrier(len(scripts), timeout=30)
         flow = menger._UnitFlow.max_flow
 
         def overlapping_flow(net, *args):
-            open_nets.append(net)
+            open_caps.append(net.cap)
             in_flow.wait()
             return flow(net, *args)
 
@@ -380,7 +392,8 @@ class TestHeldNetwork:
         assert not any(w.is_alive() for w in workers)
         assert distinct == [True] * 60
         assert answers == expected
-        assert len(menger._held) <= 1
+        host, net = menger._held
+        assert _rows(net) == _rows(_split_topology(host))
 
 
 class TestGoldenAnswers:
