@@ -104,12 +104,13 @@ def _note(trace: list | None, event: dict) -> None:
 
 
 def _terminal_component(d: Digraph, comps: list[list[int]]) -> set[int]:
-    """Lowest-representative strong component with no outgoing arcs."""
-    for comp in comps:
-        comp_set = set(comp)
-        if all(w in comp_set for v in comp for w in d.out_nbrs(v)):
-            return comp_set
-    raise InvariantViolation("no terminal strong component")
+    """The first live strong component Tarjan emits.  Live vertices only
+    point to live ones, and Tarjan emits a component only after every
+    component it reaches, so this one has no outgoing arc."""
+    term = set(comps[0])
+    if any(w not in term for v in term for w in d.out_nbrs(v)):
+        raise InvariantViolation("first live strong component has an outgoing arc")
+    return term
 
 
 def _fan_certificate(v0: int, v1: int, z0: int, fan) -> SubdivisionCertificate:

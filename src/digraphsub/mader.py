@@ -155,13 +155,18 @@ def verify_upper(
     being reported as a counterexample.
     Without a finder the exhaustive oracle decides directly.  An
     exhaustive sweep past ``EXHAUSTIVE_LIMIT`` vertices raises
-    ``TooLarge``, and a sampled one whose ``n_max`` leaves no host size
-    (below ``max(tested_degree + 1, 3)``) raises ``BadParams``, both
-    before any host is checked.
+    ``TooLarge``.  A negative degree, and a sampled sweep with no sample
+    or whose ``n_max`` leaves no host size (below
+    ``max(tested_degree + 1, 3)``), raise ``BadParams``.  Each is
+    raised before any host is checked.
     """
+    if tested_degree < 0:
+        raise BadParams(f"tested degree {tested_degree} is negative")
     if mode == "exhaustive" and n_max > EXHAUSTIVE_LIMIT:
         raise TooLarge(f"exhaustive enumeration capped at {EXHAUSTIVE_LIMIT} vertices")
     n_min = max(tested_degree + 1, 3)
+    if mode == "sampled" and samples < 1:
+        raise BadParams(f"a sampled sweep needs samples >= 1, got {samples}")
     if mode == "sampled" and n_max < n_min:
         raise BadParams(f"a sampled sweep at degree {tested_degree} needs n_max >= {n_min}")
     checked = 0

@@ -1,21 +1,27 @@
 """Disjoint-path primitives and strong arc-connectivity.
 
 Everything here reduces to unit-capacity max-flow with breadth-first
-augmenting paths (Even & Tarjan 1975) on a residual network whose nodes
-are dense integers.  Vertex-disjoint variants split each vertex v into
-``in_v = v`` and ``out_v = n+v`` joined by a unit-capacity internal
-arc; the arc-disjoint connectivity computation keeps plain unit arc
-capacities on the vertex ids.  A flow runs from one node to a goal set
-and stops at the first goal it reaches, so a fan needs no artificial
-sink: its goals are the targets' out-nodes.  Augmenting paths always
-prefer lower node ids, so the returned paths and cuts are deterministic
-functions of the input.
+augmenting paths (Even & Tarjan 1975).  Vertex-disjoint variants run on
+the vertex-split network: v becomes ``in_v = v`` and ``out_v = n+v``
+joined by an internal arc of capacity 1, and arc (u, x) becomes
+``out_u -> in_x`` of capacity n, so every finite cut is a vertex set.
+A flow runs from one node to a goal set and stops at the first goal it
+reaches, so a fan needs no sink: its goals are the targets' out-nodes.
 
-A host's split network is built once and never written after that:
-every query on it gets its own residual capacities and shares the rows.
-The module holds the network of the host queried last, so switching
-hosts rebuilds; threads may share it, and the answers never depend on
-which network a query got.
+The network is never built.  A query keeps only its flow: which
+vertices' internal arcs carry a unit, which graph arcs carry one, and
+the tail of the carrying arc into each such vertex.  Residual
+successors come straight from the host's sorted rows:
+
+- from ``out_u``: ``in_x`` for every out-neighbour x (a graph arc
+  carries at most one unit, so it never fills), and ``in_u`` at its
+  sorted place when u's internal arc carries a unit;
+- from ``in_x``: ``out_x`` when x carries nothing, else only ``out_p``
+  for the tail p of the unit entering x.  A goal is never expanded.
+
+Strong arc-connectivity runs on the vertex ids with unit arcs.  Every
+node's successors ascend, so augmenting paths prefer lower node ids and
+the returned paths and cuts are deterministic functions of the input.
 
 Every public routine re-verifies its own answer before returning
 (paths are pairwise internally disjoint, cuts really disconnect) and
@@ -65,56 +71,38 @@ class FanOrCut:
 
 
 # ---------------------------------------------------------------------------
-# unit-capacity flow network on dense integer node ids
+# unit-capacity flows read straight off the host's rows
 # ---------------------------------------------------------------------------
 
-class _UnitFlow:
-    """Residual network on nodes ``0..N-1`` with BFS augmentation.
+class _Flow:
+    """One query's flow, grown by BFS augmenting paths.
 
-    Row u is four parallel lists, ascending by neighbour id: the
-    neighbour ``nbr[u][j]``, its residual capacity ``cap[u][j]``, the
-    original capacity ``orig[u][j]`` (0 on a reverse entry) and
-    ``rev[u][j]``, the position of u in the neighbour's row.  Scanning a
-    row in order prefers lower node ids, which fixes every tie-break.
-    ``nbr``, ``orig`` and ``rev`` are never written after the build;
-    ``cap`` belongs to one flow, made by ``fresh``.
+    A subclass sets ``size``, its number of nodes, and gives
+    ``successors(u)``, the residual successors of node u in ascending
+    id order, and ``push(u, v)``, which sends one unit along the
+    residual arc u -> v.
     """
 
-    __slots__ = ("nbr", "cap", "orig", "rev")
-
-    def __init__(self, nbr: list[list[int]], orig: list[list[int]], rev: list[list[int]], cap=None):
-        self.nbr = nbr
-        self.orig = orig
-        self.rev = rev
-        self.cap = cap
-
-    def fresh(self) -> _UnitFlow:
-        """A flow of its own on the same rows, carrying nothing yet."""
-        return _UnitFlow(self.nbr, self.orig, self.rev, list(map(list.copy, self.orig)))
+    __slots__ = ()
 
     def augment(self, s: int, goals) -> bool:
         """One BFS augmenting path from s to the first node of ``goals``
         it reaches; returns False when none exists."""
-        nbr, cap = self.nbr, self.cap
-        came = [-1] * len(nbr)  # BFS parent of each reached node
-        slot = [-1] * len(nbr)  # its entry in that parent's row
+        successors = self.successors
+        came = [-1] * self.size  # BFS parent of each reached node
         came[s] = s
         frontier = [s]
         while frontier:
             nxt = []
             for u in frontier:
-                caps = cap[u]
-                for j, v in enumerate(nbr[u]):
-                    if caps[j] <= 0 or came[v] >= 0:
+                for v in successors(u):
+                    if came[v] >= 0:
                         continue
                     came[v] = u
-                    slot[v] = j
                     if v in goals:
-                        rev = self.rev
                         while v != s:
-                            u, j = came[v], slot[v]
-                            cap[u][j] -= 1
-                            cap[v][rev[u][j]] += 1
+                            u = came[v]
+                            self.push(u, v)
                             v = u
                         return True
                     nxt.append(v)
@@ -127,107 +115,105 @@ class _UnitFlow:
             sent += 1
         return sent
 
-    def residual_reachable(self, s: int) -> bytearray:
+    def reachable(self, s: int) -> bytearray:
         """Flag per node: 1 when a residual path from s reaches it."""
-        nbr, cap = self.nbr, self.cap
-        seen = bytearray(len(nbr))
+        seen = bytearray(self.size)
         seen[s] = 1
         frontier = [s]
         while frontier:
-            u = frontier.pop()
-            caps = cap[u]
-            for j, v in enumerate(nbr[u]):
-                if caps[j] > 0 and not seen[v]:
+            for v in self.successors(frontier.pop()):
+                if not seen[v]:
                     seen[v] = 1
                     frontier.append(v)
         return seen
 
 
-def _split_topology(d: Digraph) -> _UnitFlow:
-    """Vertex-split copy of d, without ``cap``.
+class _SplitFlow(_Flow):
+    """A flow on d's vertex-split network (see the module docstring):
+    ``carries[v]`` flags v's internal arc, ``arcs`` holds the graph arcs
+    that carry a unit, and ``tail[x]`` is the tail of the one entering a
+    carrying x."""
 
-    v becomes ``in_v = v`` and ``out_v = n+v`` joined by an internal arc
-    of capacity 1, and arc (u, x) becomes ``out_u -> in_x`` of capacity
-    n, so every finite cut consists of internal arcs only, i.e.
-    corresponds to a vertex set.  One network serves every query: a
-    flow never passes through its source's or its goals' internal arcs.
+    __slots__ = ("d", "n", "size", "carries", "arcs", "tail")
 
-    Row ``out_u`` is laid out in one go; each entry's partner is
-    appended to its in-row as u ascends, so every row ascends without
-    sorting.  Every node id is one shared int object.
-    """
-    n = d.n
-    ids = list(range(2 * n))
-    # the in-rows now; out-rows are appended in order
-    nbr = [[] for _ in range(n)]
-    orig = [[] for _ in range(n)]
-    rev = [[] for _ in range(n)]
-    for u in range(n):
-        o = ids[n + u]
-        heads = list(d.out_nbrs(u))
-        k = bisect_left(heads, u)
-        heads.insert(k, u)  # the internal arc's reverse entry, in place
-        nbr_o = []
-        rev_o = []
-        for x in heads:
-            rev_o.append(len(nbr[x]))
-            rev[x].append(len(nbr_o))
-            nbr_o.append(ids[x])
-            nbr[x].append(o)
-            orig[x].append(0)
-        orig[u][-1] = 1  # in_u -> out_u, just appended
-        orig_o = [n] * len(nbr_o)
-        orig_o[k] = 0
-        nbr.append(nbr_o)
-        orig.append(orig_o)
-        rev.append(rev_o)
-    return _UnitFlow(nbr, orig, rev)
+    def __init__(self, d: Digraph):
+        self.d = d
+        self.n = n = d.n
+        self.size = 2 * n
+        self.carries = bytearray(n)
+        self.arcs: set[tuple[int, int]] = set()
+        self.tail: dict[int, int] = {}
 
+    def successors(self, u: int):
+        n = self.n
+        if u < n:
+            return (n + self.tail[u],) if self.carries[u] else (n + u,)
+        u -= n
+        row = self.d.out_nbrs(u)
+        if not self.carries[u]:
+            return row
+        k = bisect_left(row, u)
+        return (*row[:k], u, *row[k:])
 
-# The split network of the host queried last, as a (host, network) pair
-# (a Digraph is immutable).  Its rows are only ever read, so threads
-# may share it.
-_held: tuple[Digraph, _UnitFlow] | None = None
+    def push(self, u: int, v: int) -> None:
+        n = self.n
+        if u < n:
+            if v == n + u:
+                self.carries[u] = 1
+            else:  # back along the arc (p, u) that entered u
+                self.arcs.remove((v - n, u))
+        elif u - n == v:  # back along v's internal arc
+            self.carries[v] = 0
+        else:
+            self.arcs.add((u - n, v))
+            self.tail[v] = u - n
 
 
-def _split_flow(d: Digraph) -> _UnitFlow:
-    """A fresh flow on d's split network, built unless it is held."""
-    global _held
-    held = _held
-    if held is None or held[0] is not d:
-        held = _held = None  # drop the old network before building, so two are never alive at once
-        held = _held = (d, _split_topology(d))
-    return held[1].fresh()
+class _ArcFlow(_Flow):
+    """A flow on d itself with unit arcs.  Arc (u, w) stays usable while
+    ``has_arc(u, w)`` exceeds the net flow from u to w; ``rows[v]``
+    lists v's out- and in-neighbours together, ascending."""
+
+    __slots__ = ("d", "rows", "size", "net")
+
+    def __init__(self, d: Digraph, rows: list[list[int]]):
+        self.d = d
+        self.rows = rows
+        self.size = d.n
+        self.net: dict[tuple[int, int], int] = {}
+
+    def successors(self, u: int):
+        has_arc, net = self.d.has_arc, self.net
+        return [w for w in self.rows[u] if has_arc(u, w) > net.get((u, w), 0)]
+
+    def push(self, u: int, w: int) -> None:
+        net = self.net
+        net[u, w] = net.get((u, w), 0) + 1
+        net[w, u] = net.get((w, u), 0) - 1
 
 
-def _arc_network(d: Digraph) -> _UnitFlow:
-    """d itself with unit arc capacities, without ``cap``; a digon
-    shares one entry pair."""
-    nbr = [sorted({*d.out_nbrs(v), *d.in_nbrs(v)}) for v in d.vertices()]
-    orig = [[1 if d.has_arc(v, w) else 0 for w in row] for v, row in enumerate(nbr)]
-    rev = [[bisect_left(nbr[w], v) for w in row] for v, row in enumerate(nbr)]
-    return _UnitFlow(nbr, orig, rev)
-
-
-def _decompose_paths(net: _UnitFlow, s: int, goals, k: int) -> list[list[int]]:
+def _decompose_paths(flow: _SplitFlow, s: int, goals, k: int) -> list[list[int]]:
     """Split a k-unit flow into k node sequences from s into ``goals``.
 
-    Each step takes the lowest-id neighbour that still carries flow.
-    Consumes the flow: every unit taken is handed back to ``net.cap``.
+    From ``out_u`` a step takes the lowest out-neighbour whose arc
+    carries a unit, from ``in_x`` the internal arc to ``out_x``.
+    Consumes the flow.
     """
-    nbr, cap, orig = net.nbr, net.cap, net.orig
+    n, arcs, carries = flow.n, flow.arcs, flow.carries
     paths = []
     for _ in range(k):
         seq = [s]
         while (u := seq[-1]) not in goals:
-            caps, origs = cap[u], orig[u]
-            for j, c in enumerate(caps):
-                if origs[j] > c:
-                    break
+            if u < n:
+                _check(carries[u], "flow decomposition lost a unit")
+                carries[u] = 0
+                seq.append(n + u)
             else:
-                raise InvariantViolation("flow decomposition lost a unit")
-            caps[j] += 1
-            seq.append(nbr[u][j])
+                u -= n
+                x = next((x for x in flow.d.out_nbrs(u) if (u, x) in arcs), None)
+                _check(x is not None, "flow decomposition lost a unit")
+                arcs.remove((u, x))
+                seq.append(x)
         paths.append(seq)
     return paths
 
@@ -242,12 +228,12 @@ def _paths_or_cut(d: Digraph, source: int, goals, k: int):
     """Split-network flow from ``source`` into ``goals``: ``(sequences,
     None)`` with k node sequences when k units pass, else ``(None, cut)``
     with the vertices whose internal arcs form the residual cut."""
-    net = _split_flow(d)
-    sent = net.max_flow(source, goals, k)
+    flow = _SplitFlow(d)
+    sent = flow.max_flow(source, goals, k)
     if sent >= k:
-        return _decompose_paths(net, source, goals, k), None
+        return _decompose_paths(flow, source, goals, k), None
     n = d.n
-    reach = net.residual_reachable(source)
+    reach = flow.reachable(source)
     cut = frozenset(w for w in range(n) if reach[w] and not reach[n + w])
     _check(len(cut) == sent, "cut size differs from the flow value")
     return None, cut
@@ -257,7 +243,7 @@ def _disjoint_cycle_flow(d: Digraph, w: int, limit: int) -> int:
     """Max number of directed cycles through w pairwise meeting only at w,
     capped at ``limit``: flow from out_w to in_w (the oracle's
     disjoint-cycle filter)."""
-    return _split_flow(d).max_flow(d.n + w, {w}, limit)
+    return _SplitFlow(d).max_flow(d.n + w, {w}, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -325,11 +311,11 @@ def strong_arc_connectivity(d: Digraph) -> int:
     """
     if d.n < 2:
         raise EmptyGraph("arc connectivity needs at least two vertices")
-    net = _arc_network(d)
+    rows = [sorted({*d.out_nbrs(v), *d.in_nbrs(v)}) for v in d.vertices()]
     best = d.m + 1
     for t in range(1, d.n):
         for s, goal in ((0, t), (t, 0)):
-            best = min(best, net.fresh().max_flow(s, {goal}, best))
+            best = min(best, _ArcFlow(d, rows).max_flow(s, {goal}, best))
             if best == 0:
                 return 0
     return best

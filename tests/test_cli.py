@@ -235,6 +235,18 @@ class TestVerify:
         assert main(argv) == 4
         assert "needs n_max >= 3" in capsys.readouterr().err
 
+    def test_negative_degree_exit_4(self, monkeypatch, capsys):
+        # exit 1 means a counterexample; a bad degree is a usage error
+        monkeypatch.setattr(mader, "enumerate_digraphs", None)
+        assert main(["verify", "--pattern", "k3e", "--k", "-1", "--n-max", "3"]) == 4
+        assert "tested degree -1 is negative" in capsys.readouterr().err
+
+    def test_sampled_without_samples_exit_4(self, monkeypatch, capsys):
+        monkeypatch.setattr(mader, "sample_digraph", None)
+        argv = ["verify", "--pattern", "k3e", "--k", "2", "--mode", "sampled", "--n-max", "7", "--samples", "0"]
+        assert main(argv) == 4
+        assert "needs samples >= 1" in capsys.readouterr().err
+
     def test_exhaustive_past_the_limit_exit_4(self, monkeypatch, capsys):
         # the size check comes before any host is enumerated or searched
         monkeypatch.setattr(mader, "enumerate_digraphs", None)

@@ -126,6 +126,19 @@ class TestVerifyUpper:
         with pytest.raises(BadParams, match=f"needs n_max >= {max(k + 1, 3)}"):
             verify_upper(k3_minus_e(), k, n_max, mode="sampled", samples=5)
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_negative_degree_raises_before_any_host(self, mode, monkeypatch):
+        monkeypatch.setattr(mader, "enumerate_digraphs", None)
+        monkeypatch.setattr(mader, "sample_digraph", None)
+        with pytest.raises(BadParams, match="tested degree -1 is negative"):
+            verify_upper(k3_minus_e(), -1, 3, mode=mode)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_sampled_sweep_without_samples_raises_before_sampling(self, samples, monkeypatch):
+        monkeypatch.setattr(mader, "sample_digraph", None)
+        with pytest.raises(BadParams, match="needs samples >= 1"):
+            verify_upper(k3_minus_e(), 2, 7, mode="sampled", samples=samples)
+
     def test_report_serialisation(self):
         report = verify_upper(k3_minus_e(), 1, 3, pattern_name="k3e")
         assert '"counterexample"' in report.to_json()

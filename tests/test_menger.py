@@ -2,7 +2,6 @@ import hashlib
 import itertools
 import random
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -17,8 +16,6 @@ from digraphsub.core import (
 from digraphsub import menger
 from digraphsub.errors import ArcPresent, EmptyGraph, SameVertex, VertexInSet, VertexOutOfRange
 from digraphsub.menger import (
-    _arc_network,
-    _split_topology,
     fan_to_set,
     strong_arc_connectivity,
     vertex_disjoint_paths,
@@ -151,6 +148,14 @@ class TestArcConnectivity:
     def test_c5(self):
         assert strong_arc_connectivity(directed_cycle(5)) == 1
 
+    def test_a_unit_sent_back_against_an_arc(self):
+        # one of its flows reaches 2 only by cancelling a unit, i.e. by
+        # stepping from a vertex to an in-neighbour
+        d = build_digraph(6, [(0, 1), (0, 5), (1, 2), (1, 4), (2, 0), (2, 3),
+                              (3, 4), (3, 5), (4, 1), (4, 3), (5, 0), (5, 2)])
+        assert strong_arc_connectivity(d) == 2
+        assert all(strong_arc_connectivity(_without(d, [a])) == 1 for a in d.arcs())
+
     def test_dipath(self):
         assert strong_arc_connectivity(directed_path(3)) == 0
 
@@ -189,23 +194,94 @@ class TestDuality:
         assert checked > 200
 
 
+def _flow_ends(rng, d):
+    """A source and goal set as the queries use them: a u-v query
+    (``out_u`` to ``{in_v}``), a fan (``out_v`` to its targets'
+    out-nodes) or the disjoint-cycle filter (``out_w`` to ``{in_w}``)."""
+    n = d.n
+    kind = rng.choice(("paths", "fan", "cycles"))
+    if kind == "cycles":
+        w = rng.randrange(n)
+        return n + w, {w}
+    v, *others = rng.sample(range(n), rng.randrange(2, min(n, 4) + 1))
+    if kind == "fan" or d.has_arc(v, others[0]):
+        return n + v, {n + y for y in others}
+    return n + v, {others[0]}
+
+
+def _split_capacities(d, flow):
+    """Residual capacity of every arc of d's split network, by
+    definition from d and the units the flow sends."""
+    n = d.n
+    cap = {}
+    for v in d.vertices():
+        cap[v, n + v] = 1 - flow.carries[v]
+        cap[n + v, v] = flow.carries[v]
+    for u, x in d.arcs():
+        sent = int((u, x) in flow.arcs)
+        cap[n + u, x] = n - sent
+        cap[x, n + u] = sent
+    return cap
+
+
+def _check_residual(d, flow, s, goals):
+    """The successors of every node but the goals (which a flow never
+    expands) ascend and are the positive residual arcs of the explicit
+    split network, and every other vertex passes on the unit it takes in."""
+    n = d.n
+    cap = _split_capacities(d, flow)
+    for u in set(range(2 * n)) - goals:
+        succ = list(flow.successors(u))
+        assert succ == sorted(set(succ))
+        assert succ == sorted(v for (w, v), c in cap.items() if w == u and c > 0)
+    for x in set(d.vertices()) - {s - n} - {g % n for g in goals}:
+        into = [p for p, y in flow.arcs if y == x]
+        assert len(into) == sum(p == x for p, _ in flow.arcs) == flow.carries[x]
+        assert into == ([flow.tail[x]] if flow.carries[x] else [])
+
+
 class TestResidualRows:
-    def test_rows_ascend_and_pair_with_their_reverse(self, rng):
-        # ascending rows are what make every tie-break prefer the lower
-        # node id; ``rev`` must point at the partner entry
-        for _ in range(60):
-            d = rand_digraph(rng, rng.randrange(2, 10), 0.35)
-            for net in (_split_topology(d).fresh(), _arc_network(d).fresh()):
-                for u, row in enumerate(net.nbr):
-                    assert row == sorted(set(row))
-                    for j, v in enumerate(row):
-                        assert net.nbr[v][net.rev[u][j]] == u
-                        assert net.cap[u][j] == net.orig[u][j] >= 0
-            net = _split_topology(d)
-            arcs = {(u, v) for u, row in enumerate(net.nbr) for j, v in enumerate(row) if net.orig[u][j]}
-            n = d.n
-            expected = {(n + u, v) for u, v in d.arcs()} | {(v, n + v) for v in range(n)}
-            assert arcs == expected
+    # ascending successors are what make every tie-break prefer the
+    # lower node id
+
+    def test_successors_ascend_and_match_the_split_network(self, rng):
+        for _ in range(300):
+            d = rand_digraph(rng, rng.randrange(2, 10), rng.uniform(0.2, 0.6))
+            s, goals = _flow_ends(rng, d)
+            flow = menger._SplitFlow(d)
+            for _ in range(rng.randrange(4)):
+                flow.augment(s, goals)
+            _check_residual(d, flow, s, goals)
+
+    def test_an_augmenting_path_frees_a_vertex(self):
+        # the first path is 0-1-2-3-4; the second enters 3 from 6, runs
+        # back along 3's and 2's units to out_1 and leaves 1 for 7, so
+        # vertex 2 ends up carrying nothing
+        d = build_digraph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 3), (1, 7), (7, 8), (8, 4)])
+        flow = menger._SplitFlow(d)
+        for carried in ({1, 2, 3}, {1, 3, 5, 6, 7, 8}):
+            assert flow.augment(9, {4})
+            assert {v for v in d.vertices() if flow.carries[v]} == carried
+            _check_residual(d, flow, 9, {4})
+        assert not flow.augment(9, {4})
+        assert vertex_disjoint_paths(d, 0, 4, 2).paths == ((0, 1, 7, 8, 4), (0, 5, 6, 3, 4))
+
+    def test_arc_flow_successors_ascend_and_follow_the_net_flow(self, rng):
+        for _ in range(100):
+            n = rng.randrange(2, 10)
+            d = rand_digraph(rng, n, rng.uniform(0.2, 0.6))
+            rows = [sorted({*d.out_nbrs(v), *d.in_nbrs(v)}) for v in d.vertices()]
+            flow = menger._ArcFlow(d, rows)
+            s, t = rng.sample(range(n), 2)
+            flow.max_flow(s, {t}, rng.randrange(1, 4))
+            cap = dict.fromkeys(d.arcs(), 1)
+            for (u, w), f in flow.net.items():
+                assert flow.net[w, u] == -f
+                cap[u, w] = cap.get((u, w), 0) - f
+            for u in d.vertices():
+                succ = flow.successors(u)
+                assert succ == sorted(set(succ))
+                assert succ == sorted(w for (x, w), c in cap.items() if x == u and c > 0)
 
 
 class TestSelfChecks:
@@ -255,31 +331,11 @@ def _random_query(rng, d):
             return kind, v, others[0], rng.randrange(1, 4)
 
 
-def _fresh(d, query):
-    """The answer with nothing held: the query builds d's network anew."""
-    menger._held = None
-    return _ask(d, query)
+class TestQueriesHoldNothing:
+    """A query keeps its flow to itself: no network or host outlives it."""
 
-
-def _rows(net):
-    return net.nbr, net.orig, net.rev
-
-
-class TestHeldNetwork:
-    """Each host's split network is built once, shared by every query on
-    it and never written after its build."""
-
-    @pytest.fixture(autouse=True)
-    def nothing_held(self):
-        menger._held = None
-        yield
-        menger._held = None
-
-    def test_interleaved_hosts_match_fresh_builds(self, monkeypatch):
+    def test_interleaved_hosts_match_one_host_at_a_time(self):
         rng = random.Random(0x5107)
-        builds = []  # one n per build, so no host is kept alive here
-        build = menger._split_topology
-        monkeypatch.setattr(menger, "_split_topology", lambda d: builds.append(d.n) or build(d))
         for _ in range(40):
             hosts = [rand_digraph(rng, rng.randrange(4, 12), rng.uniform(0.2, 0.6)) for _ in range(rng.randrange(2, 4))]
             script, h = [], 0
@@ -287,113 +343,22 @@ class TestHeldNetwork:
                 if rng.random() < 0.4:
                     h = rng.randrange(len(hosts))
                 script.append((h, _random_query(rng, hosts[h])))
-            expected = [_fresh(hosts[h], q) for h, q in script]
-            menger._held = None
-            builds.clear()
-            assert [_ask(hosts[h], q) for h, q in script] == expected
-            switches = sum(a[0] != b[0] for a, b in zip(script, script[1:]))
-            assert len(builds) == 1 + switches
+            alone = {}
+            for h, host in enumerate(hosts):
+                alone.update((i, _ask(host, q)) for i, (g, q) in enumerate(script) if g == h)
+            assert [_ask(hosts[h], q) for h, q in script] == [alone[i] for i in range(len(script))]
 
-    def test_exception_leaves_a_clean_network(self, monkeypatch):
-        # random queries on one host, one of them raising once its flow
-        # has run, leave the held rows as a fresh build has them
-        rng = random.Random(0xC1EA)
-        flow = menger._UnitFlow.max_flow
-
-        def raising_flow(net, *args):
-            flow(net, *args)
-            raise RuntimeError("flow failed")
-
-        for _ in range(20):
-            d = rand_digraph(rng, rng.randrange(4, 12), rng.uniform(0.2, 0.6))
-            script = [_random_query(rng, d) for _ in range(12)]
-            expected = [_fresh(d, q) for q in script]
-            menger._held = None
-            raising = rng.randrange(len(script))
-            answers = []
-            for i, query in enumerate(script):
-                if i == raising:
-                    monkeypatch.setattr(menger._UnitFlow, "max_flow", raising_flow)
-                    with pytest.raises(RuntimeError):
-                        _ask(d, query)
-                    monkeypatch.undo()
-                answers.append(_ask(d, query))
-            assert answers == expected
-            host, net = menger._held
-            assert host is d and net.cap is None
-            assert _rows(net) == _rows(_split_topology(d))
-
-    def test_one_build_per_host_and_no_stale_reference(self, monkeypatch):
+    def test_no_reference_to_a_queried_host_survives(self):
         rng = random.Random(0xB11D)
-        first, second = rand_out_digraph(rng, 40, 5), rand_out_digraph(rng, 40, 5)
-        builds = []  # one n per build, so no host is kept alive here
-        build = menger._split_topology
-        monkeypatch.setattr(menger, "_split_topology", lambda d: builds.append(d.n) or build(d))
+        first = rand_out_digraph(rng, 40, 5)
         refs = sys.getrefcount(first)
         u, v = next((u, v) for u, v in itertools.permutations(range(40), 2) if not first.has_arc(u, v))
         vertex_disjoint_paths(first, u, v, 3)
         for w in (1, 2, 3):
             fan_to_set(first, w, {w + 10, w + 20}, 2)
-        assert builds == [40]
-        fan_to_set(second, 0, {1, 2}, 2)
-        assert builds == [40, 40]
-        assert menger._held[0] is second
+        menger._disjoint_cycle_flow(first, 0, 3)
+        strong_arc_connectivity(first)
         assert sys.getrefcount(first) == refs
-
-    def test_threads_sharing_the_network_match_fresh_builds(self, monkeypatch):
-        # queries in several threads share the held rows, and each flow
-        # owns its residual capacities.  The threads start each query
-        # together and every flow waits until each thread has its flow
-        # made, so the queries overlap; their ``cap`` lists must differ.
-        rng = random.Random(0x7EAD)
-        hosts = [rand_digraph(rng, 9, 0.4) for _ in range(2)]
-        scripts = [[(h, _random_query(rng, hosts[h])) for h in rng.choices(range(2), k=60)] for _ in range(4)]
-        expected = [[_fresh(hosts[h], q) for h, q in script] for script in scripts]
-        menger._held = None
-        open_caps, distinct = [], []
-
-        def all_open():
-            distinct.append(len(set(map(id, open_caps))) == len(scripts))
-            open_caps.clear()
-
-        in_flow = threading.Barrier(len(scripts), action=all_open, timeout=30)
-        next_query = threading.Barrier(len(scripts), timeout=30)
-        flow = menger._UnitFlow.max_flow
-
-        def overlapping_flow(net, *args):
-            open_caps.append(net.cap)
-            in_flow.wait()
-            return flow(net, *args)
-
-        monkeypatch.setattr(menger._UnitFlow, "max_flow", overlapping_flow)
-        answers = [None] * len(scripts)
-
-        def work(i):
-            answers[i] = []
-            try:
-                for h, q in scripts[i]:
-                    next_query.wait()
-                    answers[i].append(_ask(hosts[h], q))
-            except BaseException:
-                in_flow.abort()  # release the others at once
-                next_query.abort()
-                raise
-
-        workers = [threading.Thread(target=work, args=(i,)) for i in range(len(scripts))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(w.is_alive() for w in workers)
-        assert distinct == [True] * 60
-        assert answers == expected
-        host, net = menger._held
-        assert _rows(net) == _rows(_split_topology(host))
 
 
 class TestGoldenAnswers:
