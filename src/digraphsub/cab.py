@@ -493,11 +493,11 @@ def find_cab(d: Digraph, a: int, b: int, budget: SearchBudget | int | None = Non
         return fast
 
     # the working graph keeps d's ids: a contracted vertex stays behind
-    # isolated, and the live vertex count is d.n - len(records)
-    work = d
+    # isolated, and the live vertex count is d.n - len(records).  One
+    # trim serves every round: a contraction never lengthens a row
+    work = _trim(d, params.k, log)
     records: list[ContractionRecord] = []
     while True:
-        work = _trim(work, params.k, log)
         try:
             found = _grow_and_close(work, params, budget, log)
         except PropertyViolated as pv:
@@ -525,11 +525,12 @@ def _log(log, event: dict) -> None:
 
 
 def _exact_cycle_certificate(d: Digraph, pattern: Digraph) -> SubdivisionCertificate | None:
-    """Hosts that are themselves one oriented cycle are read off directly."""
-    shape = digraph_cycle_shape(d)
-    if shape is None or shape.dicycle is not None:
+    """Hosts that are themselves one oriented cycle are read off directly;
+    ``certificate_from_cycle`` rejects every other arc set, a directed
+    cycle among them."""
+    if d.m != d.n:
         return None
-    return certificate_from_cycle(set(d.arcs()), pattern, d)
+    return certificate_from_cycle(d.arcs(), pattern, d)
 
 
 def _trim(work: Digraph, k: int, log) -> Digraph:

@@ -545,11 +545,18 @@ def chain_alt_path(chain: Chain, a: int, b: int) -> AlternatingPath:
         )
 
     # merge gadget: ride one spoke out to r, return along the other
+    return _via_spokes(prior, gadget.p1[1:], gadget.p2, spine[j + 1 :], b)
+
+
+def _via_spokes(path: AlternatingPath, out: Path, back: Path, last: Path, b: int) -> AlternatingPath:
+    """``path`` with its last Q piece run on along ``out`` to a merge
+    gadget's r, back down the other spoke ``back`` (r ends it) as a new
+    Q', and on along ``last``, a final Q piece from back's first vertex."""
     return make_alt_path(
-        s=prior.s + (spine[j + 1],),
-        t=prior.t[:-1] + (gadget.r, spine[m]),
-        q_paths=prior.q_paths[:-1] + (prior.q_paths[-1] + gadget.p1[1:], spine[j + 1 :]),
-        qp_paths=prior.qp_paths + (gadget.p2,),
+        s=path.s + (back[0],),
+        t=path.t[:-1] + (back[-1], last[-1]),
+        q_paths=path.q_paths[:-1] + (path.q_paths[-1] + out, last),
+        qp_paths=path.qp_paths + (back,),
         b=b,
     )
 
@@ -697,14 +704,7 @@ def _intersection_with_merge(g: Gadget, gstar: Gadget, inter, b: int) -> Alterna
             return exit_path
         spoke, i = spoke_of[x]
         other = g.p2 if spoke is g.p1 else g.p1
-        return make_alt_path(
-            s=exit_path.s + (other[0],),
-            t=exit_path.t[:-1] + (g.r, other[0]),
-            q_paths=exit_path.q_paths[:-1]
-            + (exit_path.q_paths[-1] + spoke[i + 1 :], (other[0],)),
-            qp_paths=exit_path.qp_paths + (other,),
-            b=b,
-        )
+        return _via_spokes(exit_path, spoke[i + 1 :], other, other[:1], b)
 
     # intersection reaches gstar's P2: cut the combined return path at
     # every vertex of g and keep one long clean component
@@ -848,13 +848,7 @@ def _closure_alt_path(host, chain: Chain, closure, first: Gadget, b: int) -> Alt
         on_p1 = x in first.p1
         spoke = first.p1 if on_p1 else first.p2
         other = first.p2 if on_p1 else first.p1
-        ix = spoke.index(x)
-        return make_alt_path(
-            s=(zl, other[0]),
-            t=(first.r, other[0]),
-            q_paths=((zl,) + spoke[ix:], (other[0],)),
-            qp_paths=(other,),
-            b=b,
-        )
+        out = spoke[spoke.index(x) + 1 :]
+        return _via_spokes(dipath_as_alt_path((zl, x), b), out, other, other[:1], b)
     raise ClosureInvalid("trivial first gadget offers no interior vertex")
 

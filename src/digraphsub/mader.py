@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .core import Digraph, bioriented_clique, build_digraph
+from .core import Digraph, bioriented_clique
 from .errors import BadParams, BudgetExceeded, InvariantViolation, TooLarge
 from .oracle import DEFAULT_BUDGET, contains_subdivision, require_valid
 
@@ -49,13 +49,11 @@ def enumerate_digraphs(n: int, min_out: int, shard: int = 0, shards: int = 1) ->
         per_vertex.append(options)
     if not all(per_vertex):
         return
-    first = per_vertex[0][shard::shards]
-    for head in first:
+    # every option is a combination of an ascending pool without u, so
+    # each row already ascends strictly and holds no loop
+    for head in per_vertex[0][shard::shards]:
         for rest in itertools.product(*per_vertex[1:]):
-            arcs = [(0, v) for v in head]
-            for u, row in enumerate(rest, start=1):
-                arcs.extend((u, v) for v in row)
-            yield build_digraph(n, arcs)
+            yield Digraph(n, (head, *rest))
 
 
 def count_digraphs(n: int, min_out: int) -> int:
@@ -72,7 +70,7 @@ def sample_digraph(rng: random.Random, n: int, min_out: int, p: float = 0.5) -> 
     Arcs appear independently with probability p; vertices short of
     ``min_out`` out-arcs then gain their lowest-id missing ones.
     """
-    rows: list[set[int]] = []
+    rows: list[tuple[int, ...]] = []
     for u in range(n):
         row = {v for v in range(n) if v != u and rng.random() < p}
         for v in range(n):
@@ -80,8 +78,8 @@ def sample_digraph(rng: random.Random, n: int, min_out: int, p: float = 0.5) -> 
                 break
             if v != u:
                 row.add(v)
-        rows.append(row)
-    return build_digraph(n, [(u, v) for u, row in enumerate(rows) for v in row])
+        rows.append(tuple(sorted(row)))
+    return Digraph(n, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -155,20 +153,21 @@ def verify_upper(
     being reported as a counterexample.
     Without a finder the exhaustive oracle decides directly.  An
     exhaustive sweep past ``EXHAUSTIVE_LIMIT`` vertices raises
-    ``TooLarge``.  A negative degree, and a sampled sweep with no sample
-    or whose ``n_max`` leaves no host size (below
-    ``max(tested_degree + 1, 3)``), raise ``BadParams``.  Each is
-    raised before any host is checked.
+    ``TooLarge``.  A negative degree, a sampled sweep with no sample,
+    and a sweep whose ``n_max`` leaves no host size raise ``BadParams``:
+    the smallest host has ``max(tested_degree + 1, 2)`` vertices in an
+    exhaustive sweep and ``max(tested_degree + 1, 3)`` in a sampled one.
+    Each is raised before any host is checked.
     """
     if tested_degree < 0:
         raise BadParams(f"tested degree {tested_degree} is negative")
     if mode == "exhaustive" and n_max > EXHAUSTIVE_LIMIT:
         raise TooLarge(f"exhaustive enumeration capped at {EXHAUSTIVE_LIMIT} vertices")
-    n_min = max(tested_degree + 1, 3)
+    n_min = max(tested_degree + 1, 2 if mode == "exhaustive" else 3)
     if mode == "sampled" and samples < 1:
         raise BadParams(f"a sampled sweep needs samples >= 1, got {samples}")
-    if mode == "sampled" and n_max < n_min:
-        raise BadParams(f"a sampled sweep at degree {tested_degree} needs n_max >= {n_min}")
+    if n_max < n_min:
+        raise BadParams(f"{mode} sweep at degree {tested_degree} needs n_max >= {n_min}")
     checked = 0
     budget_failures = 0
 
@@ -190,7 +189,7 @@ def verify_upper(
 
     def hosts() -> Iterator[Digraph]:
         if mode == "exhaustive":
-            for n in range(2, n_max + 1):
+            for n in range(n_min, n_max + 1):
                 yield from enumerate_digraphs(n, tested_degree)
         else:
             rng = random.Random(seed)

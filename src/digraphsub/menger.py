@@ -80,16 +80,18 @@ class _Flow:
     A subclass sets ``size``, its number of nodes, and gives
     ``successors(u)``, the residual successors of node u in ascending
     id order, and ``push(u, v)``, which sends one unit along the
-    residual arc u -> v.
+    residual arc u -> v.  ``came`` keeps the marks of the last search:
+    after one that fails, ``came[v] >= 0`` holds exactly for the nodes
+    a residual path from s reaches, the source side of a minimum cut.
     """
 
-    __slots__ = ()
+    __slots__ = ("came",)
 
     def augment(self, s: int, goals) -> bool:
         """One BFS augmenting path from s to the first node of ``goals``
         it reaches; returns False when none exists."""
         successors = self.successors
-        came = [-1] * self.size  # BFS parent of each reached node
+        self.came = came = [-1] * self.size  # BFS parent of each reached node
         came[s] = s
         frontier = [s]
         while frontier:
@@ -114,18 +116,6 @@ class _Flow:
         while sent < limit and self.augment(s, goals):
             sent += 1
         return sent
-
-    def reachable(self, s: int) -> bytearray:
-        """Flag per node: 1 when a residual path from s reaches it."""
-        seen = bytearray(self.size)
-        seen[s] = 1
-        frontier = [s]
-        while frontier:
-            for v in self.successors(frontier.pop()):
-                if not seen[v]:
-                    seen[v] = 1
-                    frontier.append(v)
-        return seen
 
 
 class _SplitFlow(_Flow):
@@ -227,14 +217,14 @@ def _collapse(seq: list[int], n: int) -> Path:
 def _paths_or_cut(d: Digraph, source: int, goals, k: int):
     """Split-network flow from ``source`` into ``goals``: ``(sequences,
     None)`` with k node sequences when k units pass, else ``(None, cut)``
-    with the vertices whose internal arcs form the residual cut."""
+    with the vertices whose internal arcs leave the last, failed
+    search's reach."""
     flow = _SplitFlow(d)
     sent = flow.max_flow(source, goals, k)
     if sent >= k:
         return _decompose_paths(flow, source, goals, k), None
-    n = d.n
-    reach = flow.reachable(source)
-    cut = frozenset(w for w in range(n) if reach[w] and not reach[n + w])
+    n, came = d.n, flow.came
+    cut = frozenset(w for w in range(n) if came[w] >= 0 > came[n + w])
     _check(len(cut) == sent, "cut size differs from the flow value")
     return None, cut
 

@@ -656,6 +656,30 @@ class TestChainMachineEndToEnd:
         trimmed = Digraph(d.n, tuple(d.out_nbrs(v)[:k] for v in d.vertices()))
         assert cert == find_cab(trimmed, 2, 1)
 
+    def test_one_trim_serves_every_contraction(self):
+        # the pendant host plus arcless vertices and a hub that avoids
+        # the pendant arc (0, 1): only the hub's row is longer than k,
+        # and no contraction makes a row longer again, so the one trim
+        # before growth is the only one the run needs
+        k = CabParams(a=2, b=1).k
+        base = synthetic.pendant_contraction_host(192)
+        hub = k + 300
+        d = build_digraph(hub + 1, [*base.arcs(), *((hub, v) for v in range(2, hub))])
+        log = []
+        cert = find_cab(d, 2, 1, budget=10**6, log=log)
+        assert not isinstance(cert, NotFound)
+        events = [e["event"] for e in log]
+        assert events.count("trim") == 1 and events[:2] == ["trim", "contract"]
+        assert log[0]["arcs_removed"] == hub - 2 - k
+        trimmed = Digraph(d.n, tuple(d.out_nbrs(v)[:k] for v in d.vertices()))
+        assert cert == find_cab(trimmed, 2, 1, budget=10**6)
+        work = trimmed
+        for e in log[1:]:
+            if e["event"] == "contract":
+                before = work
+                work, _ = cab._contract(work, e["arc"])
+                assert all(work.out_degree(v) <= before.out_degree(v) for v in work.vertices())
+
     def test_ring_of_dominating_gadgets(self):
         from digraphsub.synthetic import ring_of_dominating_gadgets
 

@@ -235,6 +235,13 @@ class TestVerify:
         assert main(argv) == 4
         assert "needs n_max >= 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k,n_max", [("2", "1"), ("4", "4"), ("0", "1")])
+    def test_exhaustive_n_max_below_the_smallest_host_exit_4(self, k, n_max, monkeypatch, capsys):
+        # a sweep that would check no host is a usage error, not an all-contain
+        monkeypatch.setattr(mader, "enumerate_digraphs", None)
+        assert main(["verify", "--pattern", "k3e", "--k", k, "--n-max", n_max]) == 4
+        assert f"needs n_max >= {max(int(k) + 1, 2)}" in capsys.readouterr().err
+
     def test_negative_degree_exit_4(self, monkeypatch, capsys):
         # exit 1 means a counterexample; a bad degree is a usage error
         monkeypatch.setattr(mader, "enumerate_digraphs", None)

@@ -63,6 +63,16 @@ class TestEnumeration:
     def test_degree_floor_respected(self):
         assert all(min_out_degree(d) >= 1 for d in enumerate_digraphs(4, 1))
 
+    def test_hosts_equal_their_built_arc_sets(self):
+        # a host is built straight from its option rows, so each row
+        # must already ascend strictly and hold no loop
+        for n in range(1, 5):
+            for k in range(4):
+                assert all(d == build_digraph(n, d.arcs()) for d in enumerate_digraphs(n, k))
+        shard = list(enumerate_digraphs(5, 2, shard=3, shards=11))
+        assert len(shard) > 10_000
+        assert all(d == build_digraph(5, d.arcs()) for d in shard)
+
 
 class TestSampling:
     def test_repair_reaches_floor(self):
@@ -75,6 +85,13 @@ class TestSampling:
         a = sample_digraph(random.Random(9), 10, 2)
         b = sample_digraph(random.Random(9), 10, 2)
         assert a == b
+
+    def test_hosts_equal_their_built_arc_sets(self):
+        rng = random.Random(0x5A3)
+        for _ in range(200):
+            n = rng.randrange(1, 14)
+            d = sample_digraph(rng, n, rng.randrange(n), p=rng.uniform(0.05, 0.9))
+            assert d == build_digraph(n, d.arcs())
 
 
 class TestVerifyUpper:
@@ -125,6 +142,13 @@ class TestVerifyUpper:
         monkeypatch.setattr(mader, "sample_digraph", None)
         with pytest.raises(BadParams, match=f"needs n_max >= {max(k + 1, 3)}"):
             verify_upper(k3_minus_e(), k, n_max, mode="sampled", samples=5)
+
+    @pytest.mark.parametrize("k,n_max", [(2, 1), (4, 4), (0, 1), (3, -2)])
+    def test_exhaustive_sweep_with_no_host_size_raises_before_enumerating(self, k, n_max, monkeypatch):
+        # the smallest enumerated host has max(k + 1, 2) vertices
+        monkeypatch.setattr(mader, "enumerate_digraphs", None)
+        with pytest.raises(BadParams, match=f"needs n_max >= {max(k + 1, 2)}"):
+            verify_upper(k3_minus_e(), k, n_max)
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_negative_degree_raises_before_any_host(self, mode, monkeypatch):

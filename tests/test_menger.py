@@ -284,6 +284,48 @@ class TestResidualRows:
                 assert succ == sorted(w for (x, w), c in cap.items() if x == u and c > 0)
 
 
+def _residual_reach(flow, s):
+    """Reference: every node a residual path from s reaches, by a
+    depth-first walk of its own over ``flow.successors``."""
+    seen = {s}
+    stack = [s]
+    while stack:
+        for v in flow.successors(stack.pop()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
+
+
+class TestCutFromTheFailedSearch:
+    # a minimum cut's source side is what the last, failed augmenting
+    # search reaches; no second traversal is needed
+
+    def test_marks_and_cuts_match_a_residual_walk(self):
+        rng = random.Random(0xC07)
+        cuts = {"paths": 0, "fan": 0, "cycles": 0}
+        for _ in range(300):
+            d = rand_digraph(rng, rng.randrange(2, 10), rng.uniform(0.2, 0.6))
+            s, goals = _flow_ends(rng, d)
+            n, k = d.n, rng.randrange(1, 4)
+            flow = menger._SplitFlow(d)
+            if flow.max_flow(s, goals, k) == k:
+                continue
+            reach = _residual_reach(flow, s)
+            assert {v for v, c in enumerate(flow.came) if c >= 0} == reach
+            cut = frozenset(w for w in d.vertices() if w in reach and n + w not in reach)
+            if goals == {s - n}:
+                kind = "cycles"
+            elif min(goals) >= n:
+                kind = "fan"
+                assert fan_to_set(d, s - n, {g - n for g in goals}, k).cut == cut
+            else:
+                kind = "paths"
+                assert vertex_disjoint_paths(d, s - n, min(goals), k).cut == cut
+            cuts[kind] += 1
+        assert min(cuts.values()) >= 30, cuts
+
+
 class TestSelfChecks:
     def test_corrupt_decomposition_raises_under_optimize(self):
         # the self-checks are explicit raises, so ``python -O`` (which
