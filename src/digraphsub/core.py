@@ -21,6 +21,7 @@ from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from .errors import (
+    BadParams,
     DegeneratePattern,
     EmptyGraph,
     LoopArc,
@@ -110,6 +111,8 @@ def _check_arc(n: int, u: int, v: int) -> None:
 
 def build_digraph(n: int, arcs: Iterable[Arc]) -> Digraph:
     """Digraph with exactly the given arcs; duplicates collapse."""
+    if n < 0:
+        raise BadParams(f"a digraph needs n >= 0 vertices, got {n}")
     rows: list[set[int]] = [set() for _ in range(n)]
     for u, v in arcs:
         if u == v or not (0 <= u < n and 0 <= v < n):
@@ -297,6 +300,8 @@ def bioriented_clique(k: int) -> Digraph:
 
 def bioriented_star(k: int) -> Digraph:
     """Digons between centre 0 and leaves 1..k."""
+    if k < 0:
+        raise BadParams(f"a star needs k >= 0 leaves, got {k}")
     arcs = []
     for leaf in range(1, k + 1):
         arcs.append((0, leaf))

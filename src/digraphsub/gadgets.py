@@ -248,17 +248,24 @@ class AlternatingPath:
     Interior pieces Q_2..Q_{a-1} and all Q'_i are at least b long; the
     path is *strong* when Q_1 and Q_a are as well.  Zero-length end
     pieces are single-vertex tuples.
+    The pieces are the whole path: s_i and t_i are read off Q_i's ends.
     """
 
-    s: tuple[int, ...]
-    t: tuple[int, ...]
     q_paths: tuple[Path, ...]
     qp_paths: tuple[Path, ...]
     strong: bool
 
     @property
+    def s(self) -> tuple[int, ...]:
+        return tuple(q[0] for q in self.q_paths)
+
+    @property
+    def t(self) -> tuple[int, ...]:
+        return tuple(q[-1] for q in self.q_paths)
+
+    @property
     def a(self) -> int:
-        return len(self.s)
+        return len(self.q_paths)
 
     def walk(self) -> tuple[int, ...]:
         """Vertex sequence of the underlying oriented path, s_1 .. t_a."""
@@ -272,7 +279,7 @@ class AlternatingPath:
         return frozenset(self.walk())
 
 
-def make_alt_path(s, t, q_paths, qp_paths, b: int) -> AlternatingPath:
+def make_alt_path(q_paths, qp_paths, b: int) -> AlternatingPath:
     """Assemble and structurally verify an alternating path.
 
     The strength flag is computed from the end-piece lengths.  Raises
@@ -280,17 +287,13 @@ def make_alt_path(s, t, q_paths, qp_paths, b: int) -> AlternatingPath:
     interior piece is too short; constructors in this module treat that
     as an internal error surfaced loudly.
     """
-    s, t = tuple(s), tuple(t)
     q_paths = tuple(tuple(p) for p in q_paths)
     qp_paths = tuple(tuple(p) for p in qp_paths)
-    a = len(s)
-    if not (len(t) == a and len(q_paths) == a and len(qp_paths) == a - 1 and a >= 1):
+    a = len(q_paths)
+    if not (len(qp_paths) == a - 1 and a >= 1):
         raise OverlapViolation("piece counts are inconsistent")
-    for i in range(a):
-        if q_paths[i][0] != s[i] or q_paths[i][-1] != t[i]:
-            raise OverlapViolation(f"Q_{i + 1} does not run s_{i + 1} .. t_{i + 1}")
     for i in range(a - 1):
-        if qp_paths[i][0] != s[i + 1] or qp_paths[i][-1] != t[i]:
+        if qp_paths[i][0] != q_paths[i + 1][0] or qp_paths[i][-1] != q_paths[i][-1]:
             raise OverlapViolation(f"Q'_{i + 1} does not run s_{i + 2} .. t_{i + 1}")
         if len(qp_paths[i]) - 1 < b:
             raise OverlapViolation(f"Q'_{i + 1} shorter than {b}")
@@ -298,23 +301,21 @@ def make_alt_path(s, t, q_paths, qp_paths, b: int) -> AlternatingPath:
         if len(q_paths[i]) - 1 < b:
             raise OverlapViolation(f"interior Q_{i + 1} shorter than {b}")
     strong = len(q_paths[0]) - 1 >= b and len(q_paths[-1]) - 1 >= b
-    path = AlternatingPath(s=s, t=t, q_paths=q_paths, qp_paths=qp_paths, strong=strong)
+    path = AlternatingPath(q_paths=q_paths, qp_paths=qp_paths, strong=strong)
     seq = path.walk()
     if len(set(seq)) != len(seq):
         raise OverlapViolation("pieces overlap outside their shared endpoints")
     return path
 
 
-def validate_alternating_path(host, path: AlternatingPath, b: int, expect_strong: bool | None = None) -> ValidationReport:
+def validate_alternating_path(host, path: AlternatingPath, b: int) -> ValidationReport:
     """Full invariant check of an alternating path against a host."""
     try:
-        rebuilt = make_alt_path(path.s, path.t, path.q_paths, path.qp_paths, b)
+        rebuilt = make_alt_path(path.q_paths, path.qp_paths, b)
     except OverlapViolation as exc:
         return ValidationReport(False, str(exc))
     if rebuilt.strong != path.strong:
         return ValidationReport(False, "strength flag incorrect")
-    if expect_strong is not None and path.strong != expect_strong:
-        return ValidationReport(False, f"expected strong={expect_strong}")
     for p in path.q_paths + path.qp_paths:
         for u, v in zip(p, p[1:]):
             if not host.has_arc(u, v):
@@ -324,15 +325,14 @@ def validate_alternating_path(host, path: AlternatingPath, b: int, expect_strong
 
 def dipath_as_alt_path(path: Path, b: int) -> AlternatingPath:
     """Any dipath is a (1, b)-alternating path."""
-    return make_alt_path((path[0],), (path[-1],), (tuple(path),), (), b)
+    return make_alt_path((path,), (), b)
 
 
 def _loop_alt_path(back: Path, b: int) -> AlternatingPath:
     """The (2, b)-alternating path whose Q_1 and Q_2 have length zero and
     whose one back piece Q'_1 is the dipath ``back``: s = t = (back[-1],
     back[0])."""
-    ends = (back[-1], back[0])
-    return make_alt_path(ends, ends, ((back[-1],), (back[0],)), (back,), b)
+    return make_alt_path(((back[-1],), (back[0],)), (back,), b)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +417,7 @@ def base_alt_path(gadget: Gadget, b: int) -> AlternatingPath:
     if gadget.kind is GadgetKind.TYPE_I:
         return _loop_alt_path(gadget.cycle[1:] + (gadget.p,), b)  # q .. p, the cycle minus (p, q)
     if gadget.kind in (GadgetKind.TYPE_II_BASIC, GadgetKind.TYPE_II_EXTENDED):
-        return make_alt_path(
-            s=(gadget.p, gadget.r),
-            t=(gadget.p, gadget.q),
-            q_paths=((gadget.p,), (gadget.r, gadget.q)),
-            qp_paths=(gadget.p1,),
-            b=b,
-        )
+        return make_alt_path(((gadget.p,), (gadget.r, gadget.q)), (gadget.p1,), b)
     raise WrongKind(f"no base path for kind {gadget.kind.value}")
 
 
@@ -480,10 +474,7 @@ def extended_exit_path(gadget: Gadget, targets, b: int) -> AlternatingPath:
         x = p1[ix]
         qp = p2 + (gadget.q,)  # z .. r, q
         q2 = (z,) + p1[1 : ix + 1]  # z, p1[1] .. x
-        return make_alt_path(
-            s=(gadget.q, z), t=(gadget.q, x),
-            q_paths=((gadget.q,), q2), qp_paths=(qp,), b=b,
-        )
+        return make_alt_path(((gadget.q,), q2), (qp,), b)
 
     w = gadget.link[1]
     if w == gadget.p:
@@ -499,10 +490,7 @@ def extended_exit_path(gadget: Gadget, targets, b: int) -> AlternatingPath:
     if iw <= ix:
         qp = (w,) + p2 + (gadget.q,)  # w, z .. r, q
         q2 = p1[iw : ix + 1]
-        return make_alt_path(
-            s=(gadget.q, w), t=(gadget.q, x),
-            q_paths=((gadget.q,), q2), qp_paths=(qp,), b=b,
-        )
+        return make_alt_path(((gadget.q,), q2), (qp,), b)
     return _loop_alt_path(p1[ix : iw + 1] + p2 + (gadget.q,), b)  # x .. w, z .. r, q
 
 
@@ -536,13 +524,7 @@ def chain_alt_path(chain: Chain, a: int, b: int) -> AlternatingPath:
     if gadget.kind in (GadgetKind.TYPE_I, GadgetKind.TYPE_II_BASIC):
         base = base_alt_path(gadget, b)
         q_last = base.q_paths[1] + spine[j + 2 :]
-        return make_alt_path(
-            s=prior.s + (base.s[1],),
-            t=prior.t + (spine[m],),
-            q_paths=prior.q_paths + (q_last,),
-            qp_paths=prior.qp_paths + (base.qp_paths[0],),
-            b=b,
-        )
+        return make_alt_path(prior.q_paths + (q_last,), prior.qp_paths + base.qp_paths, b)
 
     # merge gadget: ride one spoke out to r, return along the other
     return _via_spokes(prior, gadget.p1[1:], gadget.p2, spine[j + 1 :], b)
@@ -552,13 +534,7 @@ def _via_spokes(path: AlternatingPath, out: Path, back: Path, last: Path, b: int
     """``path`` with its last Q piece run on along ``out`` to a merge
     gadget's r, back down the other spoke ``back`` (r ends it) as a new
     Q', and on along ``last``, a final Q piece from back's first vertex."""
-    return make_alt_path(
-        s=path.s + (back[0],),
-        t=path.t[:-1] + (back[-1], last[-1]),
-        q_paths=path.q_paths[:-1] + (path.q_paths[-1] + out, last),
-        qp_paths=path.qp_paths + (back,),
-        b=b,
-    )
+    return make_alt_path(path.q_paths[:-1] + (path.q_paths[-1] + out, last), path.qp_paths + (back,), b)
 
 
 def join_alt_paths(host, r1: AlternatingPath, r2: AlternatingPath, b: int) -> SubdivisionCertificate:
@@ -627,13 +603,7 @@ def _extend_last(path: AlternatingPath, tail: Path, b: int) -> AlternatingPath:
         return path
     if path.t[-1] != tail[0]:
         raise InvariantViolation("the appended dipath does not start at the path's end")
-    return make_alt_path(
-        s=path.s,
-        t=path.t[:-1] + (tail[-1],),
-        q_paths=path.q_paths[:-1] + (path.q_paths[-1] + tail[1:],),
-        qp_paths=path.qp_paths,
-        b=b,
-    )
+    return make_alt_path(path.q_paths[:-1] + (path.q_paths[-1] + tail[1:],), path.qp_paths, b)
 
 
 def _intersection_case_reachable(g: Gadget, gstar: Gadget, inter, b: int) -> AlternatingPath:
@@ -789,13 +759,7 @@ def close_chain(host, chain: Chain, closure, a: int, b: int) -> SubdivisionCerti
     q_paths = list(rstar.q_paths)
     q_paths[0] = prefix[:-1] + q_paths[0]
     q_paths[-1] = tuple(q_paths[-1]) + suffix[1:]
-    r1 = make_alt_path(
-        s=(prefix[0],) + rstar.s[1:],
-        t=rstar.t[:-1] + (suffix[-1],),
-        q_paths=q_paths,
-        qp_paths=rstar.qp_paths,
-        b=b,
-    )
+    r1 = make_alt_path(q_paths, rstar.qp_paths, b)
     if not r1.strong:
         raise InvariantViolation("extended closure path must be strong")
 

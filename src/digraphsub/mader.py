@@ -153,12 +153,15 @@ def verify_upper(
     being reported as a counterexample.
     Without a finder the exhaustive oracle decides directly.  An
     exhaustive sweep past ``EXHAUSTIVE_LIMIT`` vertices raises
-    ``TooLarge``.  A negative degree, a sampled sweep with no sample,
-    and a sweep whose ``n_max`` leaves no host size raise ``BadParams``:
+    ``TooLarge``.  A mode other than ``"exhaustive"`` or ``"sampled"``,
+    a negative degree, a sampled sweep with no sample, and a sweep
+    whose ``n_max`` leaves no host size raise ``BadParams``:
     the smallest host has ``max(tested_degree + 1, 2)`` vertices in an
     exhaustive sweep and ``max(tested_degree + 1, 3)`` in a sampled one.
     Each is raised before any host is checked.
     """
+    if mode not in ("exhaustive", "sampled"):
+        raise BadParams(f"unknown mode {mode!r}")
     if tested_degree < 0:
         raise BadParams(f"tested degree {tested_degree} is negative")
     if mode == "exhaustive" and n_max > EXHAUSTIVE_LIMIT:

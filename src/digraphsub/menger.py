@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from .core import Digraph, Path, bfs_levels
 from .errors import (
     ArcPresent,
+    BadParams,
     EmptyGraph,
     InvariantViolation,
     SameVertex,
@@ -252,7 +253,7 @@ def vertex_disjoint_paths(d: Digraph, u: int, v: int, k: int) -> PathsOrCut:
     if d.has_arc(u, v):
         raise ArcPresent(f"arc ({u}, {v}) present; no finite separator exists")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise BadParams("k must be >= 1")
 
     n = d.n
     raw, cut = _paths_or_cut(d, n + u, {v}, k)
@@ -277,9 +278,9 @@ def fan_to_set(d: Digraph, v: int, targets, k: int) -> FanOrCut:
     if v in a:
         raise VertexInSet(f"apex {v} lies in the target set")
     if not a:
-        raise ValueError("target set must be non-empty")
+        raise BadParams("target set must be non-empty")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise BadParams("k must be >= 1")
 
     n = d.n
     raw, cut = _paths_or_cut(d, n + v, {n + y for y in a}, k)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 
 from .core import Arc, Digraph, Path, build_digraph
+from .errors import BadParams
 from .gadgets import (
     BACK_ARC,
     FIRST_TO_SECOND,
@@ -255,7 +256,7 @@ def intersecting_pair(rng: random.Random, b: int, g: int, case: str) -> tuple[Di
             victim = gstar.p1[rng.randrange(0, len(gstar.p1) - 1)]
         elif case == "merge-near":
             if b == 1:
-                raise ValueError("merge-near needs b >= 2")
+                raise BadParams("merge-near needs b >= 2")
             spoke = gg.p1 if rng.random() < 0.5 else gg.p2
             anchor = spoke[rng.randrange(0, b - 1)]
             victim = gstar.p1[rng.randrange(1, len(gstar.p1) - 1)]
@@ -289,7 +290,7 @@ def random_strong_alt_path(rng: random.Random, alloc: IdAllocator, a: int, b: in
     arcs: set[Arc] = set()
     for piece in q_paths + qp_paths:
         arcs |= arcs_of_path(piece)
-    return arcs, make_alt_path(s, t, q_paths, qp_paths, b)
+    return arcs, make_alt_path(q_paths, qp_paths, b)
 
 
 def wired_cycle_host(rng: random.Random, a1: int, a2: int, b: int) -> tuple[Digraph, AlternatingPath, AlternatingPath]:

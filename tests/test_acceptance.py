@@ -196,7 +196,7 @@ def test_criterion_5_lemma_suite():
         host = build_digraph(alloc.next_id, arcs)
         r = chain_alt_path(chain, a, b)
         assert r.strong and r.s[0] == chain.spine[0] and r.t[-1] == chain.spine[-1]
-        assert validate_alternating_path(host, r, b, expect_strong=True)
+        assert validate_alternating_path(host, r, b)
 
     # gadget intersections, every case of the analysis
     rng = random.Random(504)

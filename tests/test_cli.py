@@ -195,6 +195,17 @@ class TestCheck:
         assert "arity" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("spec", ["transitive:-3", "bivec-clique:-1", "bivec-path:-2", "bivec-star:-1"])
+def test_negative_pattern_size_is_a_bad_spec(spec, bivec_k3_file, tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"branch": {}, "paths": []}')
+    assert main(["check", "--pattern", spec, "--in", bivec_k3_file, "--cert", str(cert)]) == 3
+    assert main(["find", "--pattern", spec, "--in", bivec_k3_file]) == 4
+    assert main(["verify", "--pattern", spec, "--k", "2", "--n-max", "3"]) == 4
+    assert main(["witness", "--pattern", spec]) == 4
+    assert capsys.readouterr().err.count(" >= 0 ") == 4
+
+
 class TestVerify:
     def test_k3e_counterexample(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -31,6 +31,7 @@ from digraphsub.core import (
     write_edge_list,
 )
 from digraphsub.errors import (
+    BadParams,
     BudgetExceeded,
     DegeneratePattern,
     EmptyGraph,
@@ -84,6 +85,10 @@ class TestBuild:
         with pytest.raises(error) as info:
             build_digraph(2, [(0, 1), arc, (1, 0)])
         assert str(info.value) == text
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(BadParams, match="n >= 0 vertices, got -1"):
+            build_digraph(-1, [])
 
     def test_duplicates_collapse(self):
         d = build_digraph(2, [(0, 1), (0, 1)])
@@ -231,6 +236,14 @@ class TestGenerators:
     def test_bioriented_path(self):
         d = bioriented_path(4)
         assert d.n == 4 and d.m == 6
+
+    @pytest.mark.parametrize("make,size", [
+        (bioriented_clique, -1), (transitive_tournament, -2), (directed_path, -3), (bioriented_path, -2),
+        (bioriented_star, -1),
+    ])
+    def test_negative_size_is_a_parameter_error(self, make, size):
+        with pytest.raises(BadParams):
+            make(size)
 
 
 def _isomorphic(a: Digraph, b: Digraph) -> bool:

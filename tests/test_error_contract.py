@@ -1,0 +1,38 @@
+"""Callers catch one base class: every exception the library raises by
+name is a ``DigraphError``, never a bare builtin such as ``ValueError``."""
+
+import ast
+import builtins
+import importlib
+from pathlib import Path
+
+import digraphsub
+from digraphsub.errors import DigraphError
+
+SOURCES = sorted(Path(digraphsub.__file__).parent.glob("*.py"))
+
+
+def _raised_names(exc):
+    """Class names a ``raise`` expression constructs: ``raise Name(...)``,
+    or either branch of ``raise a if cond else Name(...)``."""
+    if isinstance(exc, ast.IfExp):
+        return _raised_names(exc.body) + _raised_names(exc.orelse)
+    if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name):
+        return [exc.func.id]
+    return []
+
+
+def test_every_raise_names_a_digraph_error():
+    found, checked = [], 0
+    for path in SOURCES:
+        module = importlib.import_module(f"digraphsub.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            for name in _raised_names(node.exc):
+                checked += 1
+                cls = getattr(module, name, None) or getattr(builtins, name)
+                if not (isinstance(cls, type) and issubclass(cls, DigraphError)):
+                    found.append(f"{path.name}:{node.lineno} raises {name}")
+    assert len(SOURCES) > 10 and checked > 100
+    assert found == []

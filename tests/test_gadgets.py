@@ -17,6 +17,7 @@ from digraphsub.errors import (
     WrongKind,
 )
 from digraphsub.gadgets import (
+    BACK_ARC,
     FIRST_TO_SECOND,
     CabParams,
     Chain,
@@ -126,6 +127,58 @@ class TestValidateGadget:
                     assert validate_gadget(_host(arcs), gadget, b, g)
 
 
+# valid gadgets of every kind at b = 1, g = 4; each rejection case below
+# breaks one of them in one place (a field, or a larger b) and trips
+# exactly one clause of validate_gadget.  "q lies on P1" has no row: a
+# dominating gadget with q on P1 demands the loop (q, q), so the
+# arc-absent clause always fires first.
+GADGET_CYCLE = Gadget(kind=GadgetKind.TYPE_I, p=0, q=1, cycle=(0, 1, 2, 3))
+GADGET_BASIC = Gadget(kind=GadgetKind.TYPE_II_BASIC, p=0, q=1, r=2, p1=(2, 3, 0))
+GADGET_EXTENDED = dataclasses.replace(
+    GADGET_BASIC, kind=GadgetKind.TYPE_II_EXTENDED, p2=(4, 2), link=(BACK_ARC, 3),
+)
+GADGET_MERGE = Gadget(kind=GadgetKind.TYPE_III, p=0, q=1, r=2, p1=(0, 3, 5, 2), p2=(1, 4, 2))
+GADGET_REJECTIONS = [
+    pytest.param(GADGET_CYCLE, {"q": 0}, 1, None, "p equals q", id="p-equals-q"),
+    pytest.param(GADGET_BASIC, {}, 1, (3, 0), "arc absent: (3, 0)", id="absent-arc"),
+    pytest.param(GADGET_CYCLE, {"cycle": (1, 2, 3, 0)}, 1, None, "cycle must start p, q", id="cycle-start"),
+    pytest.param(GADGET_CYCLE, {"cycle": (0, 1, 2, 3, 2)}, 1, None, "cycle repeats a vertex",
+                 id="cycle-repeat"),
+    pytest.param(GADGET_CYCLE, {"cycle": (0, 1, 2)}, 1, None, "cycle length 3 below 4", id="cycle-short"),
+    pytest.param(GADGET_BASIC, {"p1": (3, 2, 0)}, 1, None, "P1 must run r .. p", id="p1-ends"),
+    pytest.param(GADGET_BASIC, {"p1": (2, 3, 2, 0)}, 1, None, "P1 repeats a vertex", id="p1-repeat"),
+    pytest.param(GADGET_BASIC, {}, 2, None, "P1 too short", id="dominating-p1-short"),
+    pytest.param(GADGET_EXTENDED, {"p2": (4, 5)}, 1, None, "P2 must end at r", id="p2-end"),
+    pytest.param(GADGET_EXTENDED, {"p2": (4, 5, 4, 2)}, 1, None, "P2 repeats a vertex", id="p2-repeat"),
+    pytest.param(GADGET_EXTENDED, {"p2": (2,)}, 1, None, "P2 too short", id="extended-p2-short"),
+    pytest.param(GADGET_EXTENDED, {"p2": (4, 0, 2)}, 1, None, "P1 and P2 must meet only at r",
+                 id="p1-p2-meet"),
+    pytest.param(GADGET_EXTENDED, {"p2": (1, 2)}, 1, None, "q lies on P2", id="q-on-p2"),
+    pytest.param(GADGET_EXTENDED, {"link": ("neither", 3)}, 1, None, "extended gadget needs a link clause",
+                 id="link-clause"),
+    pytest.param(GADGET_EXTENDED, {"link": (BACK_ARC, 2)}, 1, None,
+                 "back-arc tail must lie on P1 away from r", id="back-arc-tail"),
+    pytest.param(GADGET_MERGE, {"p1": (3, 0, 5, 2)}, 1, None, "P1 must run p .. r", id="merge-p1-ends"),
+    pytest.param(GADGET_MERGE, {"p2": (4, 1, 2)}, 1, None, "P2 must run q .. r", id="merge-p2-ends"),
+    pytest.param(GADGET_MERGE, {"p1": (0, 3, 0, 2)}, 1, None, "spoke repeats a vertex", id="spoke-repeat"),
+    pytest.param(GADGET_MERGE, {"p1": (0, 3, 2)}, 2, None, "P1 too short", id="merge-p1-short"),
+    pytest.param(GADGET_MERGE, {}, 2, None, "P2 too short", id="merge-p2-short"),
+    pytest.param(GADGET_MERGE, {"p2": (1, 3, 2)}, 1, None, "spokes must meet only at r", id="spokes-meet"),
+]
+
+
+class TestGadgetRejections:
+    @pytest.mark.parametrize("gadget", [GADGET_CYCLE, GADGET_BASIC, GADGET_EXTENDED, GADGET_MERGE])
+    def test_good_gadgets_pass(self, gadget):
+        assert validate_gadget(_host(gadget.arcs(), n=6), gadget, 1, 4)
+
+    @pytest.mark.parametrize("gadget,changes,b,drop,violation", GADGET_REJECTIONS)
+    def test_each_clause_alone(self, gadget, changes, b, drop, violation):
+        broken = dataclasses.replace(gadget, **changes)
+        report = validate_gadget(_host(broken.arcs() - {drop}, n=6), broken, b, 4)
+        assert not report and report.violation == violation
+
+
 def _alt_arcs(path):
     return {arc for piece in path.q_paths + path.qp_paths for arc in zip(piece, piece[1:])}
 
@@ -133,42 +186,41 @@ def _alt_arcs(path):
 # a valid strong (3, 2)-alternating path; each rejection case below breaks
 # exactly one clause of make_alt_path or validate_alternating_path
 ALT_GOOD = gadgets.AlternatingPath(
-    s=(0, 10, 20),
-    t=(2, 12, 22),
     q_paths=((0, 1, 2), (10, 11, 12), (20, 21, 22)),
     qp_paths=((10, 5, 2), (20, 15, 12)),
     strong=True,
 )
 ALT_REJECTIONS = [
-    pytest.param({"t": (2, 12)}, None, None, "piece counts are inconsistent", id="piece-counts"),
-    pytest.param({"q_paths": ((0, 1, 2), (10, 11, 13), (20, 21, 22))}, None, None,
-                 "Q_2 does not run s_2 .. t_2", id="q-ends"),
-    pytest.param({"qp_paths": ((10, 5, 3), (20, 15, 12))}, None, None,
+    pytest.param({"qp_paths": ((10, 5, 2),)}, None, "piece counts are inconsistent", id="piece-counts"),
+    pytest.param({"qp_paths": ((10, 5, 3), (20, 15, 12))}, None,
                  "Q'_1 does not run s_2 .. t_1", id="qp-ends"),
-    pytest.param({"qp_paths": ((10, 2), (20, 15, 12))}, None, None, "Q'_1 shorter than 2", id="short-qp"),
-    pytest.param({"q_paths": ((0, 1, 2), (10, 12), (20, 21, 22))}, None, None,
+    pytest.param({"qp_paths": ((10, 2), (20, 15, 12))}, None, "Q'_1 shorter than 2", id="short-qp"),
+    pytest.param({"q_paths": ((0, 1, 2), (10, 12), (20, 21, 22))}, None,
                  "interior Q_2 shorter than 2", id="short-interior-q"),
-    pytest.param({"qp_paths": ((10, 1, 2), (20, 15, 12))}, None, None,
+    pytest.param({"qp_paths": ((10, 1, 2), (20, 15, 12))}, None,
                  "pieces overlap outside their shared endpoints", id="overlap"),
-    pytest.param({"strong": False}, None, None, "strength flag incorrect", id="strength-flag"),
-    pytest.param({}, False, None, "expected strong=False", id="unexpected-strength"),
-    pytest.param({}, None, (21, 22), "arc absent: (21, 22)", id="absent-arc"),
+    pytest.param({"strong": False}, None, "strength flag incorrect", id="strength-flag"),
+    pytest.param({}, (21, 22), "arc absent: (21, 22)", id="absent-arc"),
 ]
 
 
 class TestAltPathRejections:
     def test_good_path_passes(self):
-        assert validate_alternating_path(_host(_alt_arcs(ALT_GOOD)), ALT_GOOD, 2, expect_strong=True)
+        assert ALT_GOOD.strong and validate_alternating_path(_host(_alt_arcs(ALT_GOOD)), ALT_GOOD, 2)
 
-    @pytest.mark.parametrize("changes,expect_strong,drop,violation", ALT_REJECTIONS)
-    def test_each_clause_alone(self, changes, expect_strong, drop, violation):
+    def test_ends_are_read_off_the_pieces(self):
+        assert [f.name for f in dataclasses.fields(ALT_GOOD)] == ["q_paths", "qp_paths", "strong"]
+        assert (ALT_GOOD.s, ALT_GOOD.t, ALT_GOOD.a) == ((0, 10, 20), (2, 12, 22), 3)
+
+    @pytest.mark.parametrize("changes,drop,violation", ALT_REJECTIONS)
+    def test_each_clause_alone(self, changes, drop, violation):
         path = dataclasses.replace(ALT_GOOD, **changes)
         host = _host(_alt_arcs(path) - {drop}, n=23)
-        report = validate_alternating_path(host, path, 2, expect_strong=expect_strong)
+        report = validate_alternating_path(host, path, 2)
         assert not report and report.violation == violation
         if changes.keys() - {"strong"}:  # the structural clauses live in make_alt_path
             with pytest.raises(OverlapViolation) as exc:
-                make_alt_path(path.s, path.t, path.q_paths, path.qp_paths, 2)
+                make_alt_path(path.q_paths, path.qp_paths, 2)
             assert str(exc.value) == violation
 
 
@@ -338,7 +390,7 @@ class TestChainAltPath:
                 assert r.s[0] == chain.spine[0]
                 assert r.t[-1] == chain.spine[-1]
                 assert r.strong
-                assert validate_alternating_path(host, r, b, expect_strong=True)
+                assert validate_alternating_path(host, r, b)
 
     def test_too_poor(self, rng):
         b = 1
@@ -355,7 +407,7 @@ class TestChainAltPath:
         assert validate_chain(host, CHAIN_GOOD, b, 4)
         r = chain_alt_path(CHAIN_GOOD, 2, b)
         assert r.t[0] == 11  # detours through the merge point
-        assert validate_alternating_path(host, r, b, expect_strong=True)
+        assert r.strong and validate_alternating_path(host, r, b)
 
 
 def _cycle_gadget(*cycle):
@@ -429,7 +481,7 @@ class TestJoinAltPaths:
         shared = sorted(r1.vertices() - {j1, j2})[0]
         # second path reuses an interior vertex of the first
         q1 = (j2, shared, alloc.one(), j1)
-        r2 = make_alt_path((j2,), (j1,), (q1,), (), 1)
+        r2 = make_alt_path((q1,), (), 1)
         host = _host(arcs1 | set(zip(q1, q1[1:])))
         with pytest.raises(OverlapViolation):
             join_alt_paths(host, r1, r2, 1)

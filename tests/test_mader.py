@@ -163,6 +163,12 @@ class TestVerifyUpper:
         with pytest.raises(BadParams, match="needs samples >= 1"):
             verify_upper(k3_minus_e(), 2, 7, mode="sampled", samples=samples)
 
+    def test_unknown_mode_raises_before_any_host(self, monkeypatch):
+        monkeypatch.setattr(mader, "enumerate_digraphs", None)
+        monkeypatch.setattr(mader, "sample_digraph", None)
+        with pytest.raises(BadParams, match="unknown mode 'exhaustve'"):
+            verify_upper(k3_minus_e(), 2, 5, mode="exhaustve", samples=3)
+
     def test_report_serialisation(self):
         report = verify_upper(k3_minus_e(), 1, 3, pattern_name="k3e")
         assert '"counterexample"' in report.to_json()
