@@ -38,7 +38,6 @@ from .errors import (
     ClosureInvalid,
     DegeneratePattern,
     DigraphError,
-    EndpointMismatch,
     InvariantViolation,
     OverlapViolation,
     PreconditionUnverifiable,
@@ -485,11 +484,12 @@ def find_cab(d: Digraph, a: int, b: int, budget: SearchBudget | int | None = Non
         raise DegeneratePattern("need at least two sources; route a=1 to the two-block finder")
     params = CabParams(a=a, b=b)
     budget = as_budget(budget)
+    log = [] if log is None else log
     pattern = pattern_cab(a, b)
 
     fast = _exact_cycle_certificate(d, pattern)
     if fast is not None:
-        _log(log, {"event": "close", "via": "exact-cycle", "n": d.n})
+        log.append({"event": "close", "via": "exact-cycle", "n": d.n})
         return fast
 
     # the working graph keeps d's ids: a contracted vertex stays behind
@@ -506,7 +506,7 @@ def find_cab(d: Digraph, a: int, b: int, budget: SearchBudget | int | None = Non
             except _Stuck as stuck:
                 return NotFound(stuck.reason, stuck.details)
             records.append(record)
-            _log(log, {"event": "contract", "arc": pv.arc, "n": d.n - len(records), "m": work.m})
+            log.append({"event": "contract", "arc": pv.arc, "n": d.n - len(records), "m": work.m})
             continue
         except _Stuck as stuck:
             return NotFound(stuck.reason, stuck.details)
@@ -517,11 +517,6 @@ def find_cab(d: Digraph, a: int, b: int, budget: SearchBudget | int | None = Non
         for record in reversed(records):
             found = lift_contraction(found, record)
         return require_valid(d, pattern, found, "lifted certificate")
-
-
-def _log(log, event: dict) -> None:
-    if log is not None:
-        log.append(event)
 
 
 def _exact_cycle_certificate(d: Digraph, pattern: Digraph) -> SubdivisionCertificate | None:
@@ -538,7 +533,7 @@ def _trim(work: Digraph, k: int, log) -> Digraph:
     trimmed = sum(max(0, work.out_degree(v) - k) for v in work.vertices())
     if not trimmed:
         return work
-    _log(log, {"event": "trim", "arcs_removed": trimmed})
+    log.append({"event": "trim", "arcs_removed": trimmed})
     return Digraph(work.n, tuple(work.out_nbrs(v)[:k] for v in work.vertices()))
 
 
@@ -593,7 +588,7 @@ def _grow_and_close(work: Digraph, params: CabParams, budget: SearchBudget, log)
     growth = _seed_chain(work, params, budget)
     if growth is None:
         return None
-    _log(log, {"event": "extend", "via": "seed", "spine": growth.m})
+    log.append({"event": "extend", "via": "seed", "spine": growth.m})
 
     while True:
         budget.charge(1, phase="chain-round", spine=growth.m)
@@ -604,7 +599,7 @@ def _grow_and_close(work: Digraph, params: CabParams, budget: SearchBudget, log)
         if action is None:
             _extend_with_merge(work, growth, params, budget)
             action = "merge"
-        _log(log, {"event": "extend", "via": action, "spine": growth.m})
+        log.append({"event": "extend", "via": action, "spine": growth.m})
 
 
 def _seed_chain(work: Digraph, params: CabParams, budget: SearchBudget) -> _Growth | None:
@@ -690,9 +685,9 @@ def _close_from(work, growth: _Growth, idx: int, tail: Path, closure, via: str, 
         return None
     try:
         cert = close_chain(work, trial, closure, params.a, params.b)
-    except (ClosureInvalid, ChainTooPoor, OverlapViolation, EndpointMismatch, DegeneratePattern, BadParams):
+    except (ClosureInvalid, ChainTooPoor, OverlapViolation, BadParams):
         return None
-    _log(log, {"event": "close", "via": via, "spine": trial.m})
+    log.append({"event": "close", "via": via, "spine": trial.m})
     return cert
 
 

@@ -42,14 +42,13 @@ from .errors import (
     DegeneratePattern,
     EmptyGraph,
     ParseError,
-    PreconditionViolated,
     PropertyMismatch,
     TooLarge,
 )
 from .k3e import find_k3e
 from .mader import CSV_HEADER, lower_witness, verify_upper
 from .menger import strong_arc_connectivity
-from .oracle import DEFAULT_BUDGET, SubdivisionCertificate, require_valid, validate_certificate
+from .oracle import DEFAULT_BUDGET, SubdivisionCertificate, as_budget, require_valid, validate_certificate
 from .outcome import NotFound
 from .two_block import find_two_block
 
@@ -93,6 +92,14 @@ def parse_pattern(spec: str) -> Digraph:
     raise BadParams(f"unknown pattern spec {spec!r}")
 
 
+def _budget(text: str) -> int:
+    """A ``--budget`` value: a node count, 0 or more."""
+    try:
+        return as_budget(int(text)).max_nodes
+    except (ValueError, BadParams) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _load_graph(path: str) -> Digraph:
     return read_edge_list(FsPath(path).read_text())
 
@@ -112,16 +119,8 @@ def _resolve(spec: str, budget: int):
     if name == "twoblock":
         return pattern, lambda d, log=None: find_two_block(d, *nums, budget, log=log)
     if name == "k3e":
-        return pattern, _find_k3e_or_miss
+        return pattern, lambda d, log=None: find_k3e(d, trace=log)
     return pattern, lambda d, log=None: find_oriented_cycle_subdivision(d, pattern, budget, log=log)
-
-
-def _find_k3e_or_miss(d: Digraph, log: list | None = None):
-    """``find_k3e``, with a failed degree precondition as a miss."""
-    try:
-        return find_k3e(d, trace=log)
-    except PreconditionViolated as exc:
-        return NotFound("precondition", {"why": str(exc)})
 
 
 def cmd_find(args) -> int:
@@ -268,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     find = sub.add_parser("find", help="search a host for a pattern subdivision")
     find.add_argument("--in", dest="input", required=True, help="edge-list file")
     find.add_argument("--pattern", required=True)
-    find.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    find.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     find.add_argument("--out", help="certificate JSON path")
     find.add_argument("--log", help="run-log JSONL path")
     find.set_defaults(func=cmd_find)
@@ -286,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     verify.add_argument("--samples", type=int, default=1000)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    verify.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     verify.add_argument("--out", help="report JSON path")
     verify.add_argument("--csv", help="summary CSV path")
     verify.set_defaults(func=cmd_verify)
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     witness = sub.add_parser("witness", help="generic lower-bound witness")
     witness.add_argument("--pattern", required=True)
-    witness.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    witness.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
     witness.add_argument("--out")
     witness.set_defaults(func=cmd_witness)
 
@@ -314,7 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error; here 2 is a spent budget
+        if exc.code == 2:
+            return EXIT_USAGE
+        raise
     try:
         return args.func(args)
     except TooLarge as exc:  # a size past what exhaustive search allows

@@ -142,14 +142,6 @@ class BadParams(DigraphError):
     """Finder parameters outside the supported range."""
 
 
-class PreconditionViolated(DigraphError):
-    """A degree precondition fails at a specific vertex."""
-
-    def __init__(self, vertex: int, message: str = ""):
-        super().__init__(message or f"degree precondition fails at vertex {vertex}")
-        self.vertex = vertex
-
-
 # ---- constructions -----------------------------------------------------------
 
 class PropertyMismatch(DigraphError):

@@ -17,35 +17,36 @@ before returning.
 from __future__ import annotations
 
 from .core import Digraph, Path, bfs_levels, bfs_path, k3_minus_e, strong_components
-from .errors import InvariantViolation, PreconditionViolated, VertexOutOfRange
+from .errors import InvariantViolation, VertexOutOfRange
 from .menger import fan_to_set
 from .oracle import SubdivisionCertificate, contract_arc, lift_contraction, require_valid
+from .outcome import NotFound
 
 _PATTERN = k3_minus_e()
 
 
 def find_k3e(d: Digraph, v0: int | None = None,
-             trace: list | None = None) -> SubdivisionCertificate:
+             trace: list | None = None) -> SubdivisionCertificate | NotFound:
     """Certificate for a subdivision of the bioriented triangle minus an
     arc, in any digraph meeting the degree precondition.
 
     ``v0`` is the vertex allowed out-degree 1 (default: a vertex of
     minimum out-degree; an id outside ``0..n-1`` raises
-    ``VertexOutOfRange``).  Raises ``PreconditionViolated`` when some
-    other vertex has out-degree below 2.  ``trace``, when given, collects
-    one dict per reduction step for debugging lift chains.
+    ``VertexOutOfRange``).  An empty host, a ``v0`` without an out-arc,
+    or another vertex of out-degree below 2 returns
+    ``NotFound("precondition")``.  ``trace``, when given, collects one
+    event dict per reduction step for debugging lift chains.
     """
+    trace = [] if trace is None else trace
     if d.n == 0:
-        raise PreconditionViolated(-1, "empty graph")
+        return NotFound("precondition", {"n": 0})
     if v0 is None:
         v0 = min(d.vertices(), key=lambda v: (d.out_degree(v), v))
     elif not 0 <= v0 < d.n:
         raise VertexOutOfRange(f"v0 = {v0} outside 0..{d.n - 1}")
-    if d.out_degree(v0) < 1:
-        raise PreconditionViolated(v0)
     for v in d.vertices():
-        if v != v0 and d.out_degree(v) < 2:
-            raise PreconditionViolated(v)
+        if d.out_degree(v) < (1 if v == v0 else 2):
+            return NotFound("precondition", {"vertex": v})
 
     # each pass either ends at the fan or removes at least one live
     # vertex, so the loop ends within d.n passes
@@ -57,7 +58,7 @@ def find_k3e(d: Digraph, v0: int | None = None,
             term = _terminal_component(d, comps)
             d = Digraph(d.n, tuple(d.out_nbrs(v) if v in term else () for v in d.vertices()))
             v0 = v0 if v0 in term else min(term)
-            _note(trace, {"step": "terminal-component", "size": len(term), "v0": v0})
+            trace.append({"event": "terminal-component", "size": len(term), "v0": v0})
             continue
 
         (v1,) = d.out_nbrs(v0)
@@ -66,7 +67,7 @@ def find_k3e(d: Digraph, v0: int | None = None,
             z0 = common[0]
             res = fan_to_set(d, v1, {v0, z0}, 2)
             if res.found:
-                _note(trace, {"step": "fan", "v0": v0, "v1": v1, "z0": z0})
+                trace.append({"event": "fan", "v0": v0, "v1": v1, "z0": z0})
                 cert = _fan_certificate(v0, v1, z0, res.fan)
                 break
             d, v0, bridge = _separate(d, v0, v1, z0, res.cut, trace)
@@ -79,7 +80,7 @@ def find_k3e(d: Digraph, v0: int | None = None,
         v2 = next(w for w in d.out_nbrs(v1) if w != v0)
         redirected = [x for x in d.in_nbrs(v1) if x != v0]
         d, record = contract_arc(d, v0, v1, keep=v0)
-        _note(trace, {"step": "contract", "v0": v0, "v1": v1, "v2": v2, "redirected": redirected})
+        trace.append({"event": "contract", "v0": v0, "v1": v1, "v2": v2, "redirected": redirected})
         lifts.append((lift_contraction, record))
     else:
         raise InvariantViolation(f"reductions ran past {host.n} steps")
@@ -96,11 +97,6 @@ def find_k3e(d: Digraph, v0: int | None = None,
 def _trim(d: Digraph, v0: int) -> Digraph:
     """Every row cut to its lowest entries: one for v0, two elsewhere."""
     return Digraph(d.n, tuple(d.out_nbrs(v)[: 1 if v == v0 else 2] for v in d.vertices()))
-
-
-def _note(trace: list | None, event: dict) -> None:
-    if trace is not None:
-        trace.append(event)
 
 
 def _terminal_component(d: Digraph, comps: list[list[int]]) -> set[int]:
@@ -131,7 +127,7 @@ def _fan_certificate(v0: int, v1: int, z0: int, fan) -> SubdivisionCertificate:
 
 
 def _separate(d: Digraph, v0: int, v1: int, z0: int, cut,
-              trace: list | None) -> tuple[Digraph, int, Path]:
+              trace: list) -> tuple[Digraph, int, Path]:
     """The side of the one-vertex cut that v1 reaches, entered from the
     separator s0 by a stand-in arc for a bridging dipath; returns that
     graph, s0 and the bridge."""
@@ -146,10 +142,10 @@ def _separate(d: Digraph, v0: int, v1: int, z0: int, cut,
     if bridge is None:
         raise InvariantViolation("strong graph must reach the kept side")
     rows = [()] * d.n
-    for v in w_side:
-        rows[v] = tuple(x for x in d.out_nbrs(v) if x in w_side or x == s0)
+    for v in w_side:  # v1's reach avoiding s0: every out-arc stays in it or enters s0
+        rows[v] = d.out_nbrs(v)
     rows[s0] = tuple(sorted({x for x in d.out_nbrs(s0) if x in w_side} | {bridge[-1]}))
-    _note(trace, {"step": "partition", "s0": s0, "kept": len(w_side), "bridge": list(bridge)})
+    trace.append({"event": "partition", "s0": s0, "kept": len(w_side), "bridge": list(bridge)})
     return Digraph(d.n, tuple(rows)), s0, bridge
 
 

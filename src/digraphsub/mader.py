@@ -19,7 +19,7 @@ from typing import Callable, Iterator
 
 from .core import Digraph, bioriented_clique
 from .errors import BadParams, BudgetExceeded, InvariantViolation, TooLarge
-from .oracle import DEFAULT_BUDGET, contains_subdivision, require_valid
+from .oracle import DEFAULT_BUDGET, as_budget, contains_subdivision, require_valid
 
 EXHAUSTIVE_LIMIT = 5
 
@@ -154,8 +154,8 @@ def verify_upper(
     Without a finder the exhaustive oracle decides directly.  An
     exhaustive sweep past ``EXHAUSTIVE_LIMIT`` vertices raises
     ``TooLarge``.  A mode other than ``"exhaustive"`` or ``"sampled"``,
-    a negative degree, a sampled sweep with no sample, and a sweep
-    whose ``n_max`` leaves no host size raise ``BadParams``:
+    a negative degree or budget, a sampled sweep with no sample, and a
+    sweep whose ``n_max`` leaves no host size raise ``BadParams``:
     the smallest host has ``max(tested_degree + 1, 2)`` vertices in an
     exhaustive sweep and ``max(tested_degree + 1, 3)`` in a sampled one.
     Each is raised before any host is checked.
@@ -164,6 +164,7 @@ def verify_upper(
         raise BadParams(f"unknown mode {mode!r}")
     if tested_degree < 0:
         raise BadParams(f"tested degree {tested_degree} is negative")
+    as_budget(budget)  # rejects a negative budget before any host
     if mode == "exhaustive" and n_max > EXHAUSTIVE_LIMIT:
         raise TooLarge(f"exhaustive enumeration capped at {EXHAUSTIVE_LIMIT} vertices")
     n_min = max(tested_degree + 1, 2 if mode == "exhaustive" else 3)

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .core import Digraph, Path, has_digon
-from .errors import BudgetExceeded, InvariantViolation, ParseError
+from .errors import BadParams, BudgetExceeded, InvariantViolation, ParseError
 from . import menger as _menger
 
 DEFAULT_BUDGET = 10**7
@@ -508,11 +508,14 @@ def _simple_paths_shortest_first(out_mask: list[int], in_mask: list[int], s: int
 
 def as_budget(budget: SearchBudget | int | None) -> SearchBudget:
     """The one coercion of a ``budget=`` argument: ``None`` gets
-    ``DEFAULT_BUDGET`` nodes, an int that many (0 means none at all),
-    and a ``SearchBudget`` is shared as is."""
+    ``DEFAULT_BUDGET`` nodes, an int that many (0 means none at all; a
+    negative int raises ``BadParams``), and a ``SearchBudget`` is shared
+    as is."""
     if budget is None:
         return SearchBudget()
     if isinstance(budget, int):
+        if budget < 0:
+            raise BadParams(f"budget {budget} is negative")
         return SearchBudget(max_nodes=budget)
     return budget
 

@@ -110,6 +110,7 @@ def find_two_block(d: Digraph, k1: int, k2: int, budget: SearchBudget | int | No
     if k1 == 1 and k2 == 1:
         raise BadParams("C(1, 1) is not a simple pattern")
     budget = as_budget(budget)
+    log = [] if log is None else log
     if k2 == 1:
         return _find_short_block(d, k1)
 
@@ -125,17 +126,14 @@ def find_two_block(d: Digraph, k1: int, k2: int, budget: SearchBudget | int | No
         budget.charge(1, phase="round", length=len(state.p0))
         outcome = _round(d, state, k1, k2, budget)
         if isinstance(outcome, SubdivisionCertificate):
-            if log is not None:
-                log.append({"event": "close", "rounds": rounds, "path_len": len(state.p0) - 1})
+            log.append({"event": "close", "rounds": rounds, "path_len": len(state.p0) - 1})
             return outcome
         if isinstance(outcome, NotFound):
-            if log is not None:
-                log.append({"event": "stuck", "reason": outcome.reason, "rounds": rounds})
+            log.append({"event": "stuck", "reason": outcome.reason, "rounds": rounds})
             return outcome
         if len(outcome.p0) <= len(state.p0):
             raise InvariantViolation("round must lengthen the good path")
-        if log is not None:
-            log.append({"event": "extend", "path_len": len(outcome.p0) - 1})
+        log.append({"event": "extend", "path_len": len(outcome.p0) - 1})
         state = outcome
 
 

@@ -360,7 +360,7 @@ class TestMergeRound:
         monkeypatch.setattr(cab, "_scan", lambda *args, **kwargs: None)
         monkeypatch.setattr(cab, "embed_gadget_iii", fake_embed)
         with pytest.raises(Handed):
-            cab._grow_and_close(work, params, SearchBudget(10**6), None)
+            cab._grow_and_close(work, params, SearchBudget(10**6), [])
         ((host, v),) = handed
         assert v == vm
         for x, y in work.arcs():

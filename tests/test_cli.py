@@ -342,3 +342,44 @@ class TestWitness:
     def test_pattern_below_two_vertices_exit_4(self, spec, capsys):
         assert main(["witness", "--pattern", spec]) == 4
         assert "at least two vertices" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    # exit 2 means a spent search budget, so argparse's own exit 2 for a
+    # malformed command line is reported as the usage error it is
+    @pytest.mark.parametrize("argv", [
+        ["find", "--pattern", "k3e"],
+        ["verify", "--pattern", "k3e", "--k", "x"],
+        ["frobnicate"],
+        ["verify", "--pattern", "k3e", "--k", "2", "--mode", "bogus"],
+        [],
+    ])
+    def test_argparse_errors_exit_4(self, argv, capsys):
+        assert main(argv) == 4
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["find", "--help"])
+        assert info.value.code == 0
+        assert "--budget" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["find", "--pattern", "cab:2,1", "--in", "host.edges", "--budget", "-3"],
+        ["find", "--pattern", "twoblock:2,2", "--in", "host.edges", "--budget", "-3"],
+        ["find", "--pattern", "dicycle:3", "--in", "host.edges", "--budget", "-3"],
+        ["find", "--pattern", "k3e", "--in", "host.edges", "--budget", "-3"],
+        ["verify", "--pattern", "twoblock:2,2", "--k", "3", "--n-max", "4", "--budget", "-1"],
+        ["witness", "--pattern", "k3e", "--budget", "-1"],
+    ])
+    def test_negative_budget_exit_4_before_any_search(self, argv, monkeypatch, capsys):
+        for name in ("_load_graph", "_resolve", "verify_upper", "lower_witness"):
+            monkeypatch.setattr(cli, name, None)
+        assert main(argv) == 4
+        assert "is negative" in capsys.readouterr().err
+
+    def test_zero_budget_is_a_budget(self, bivec_k4_file, capsys):
+        argv = ["find", "--pattern", "twoblock:2,2", "--in", bivec_k4_file, "--budget", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().out.startswith("budget exhausted:")
+

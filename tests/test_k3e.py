@@ -13,10 +13,11 @@ from digraphsub.core import (
     min_out_degree,
 )
 from digraphsub import k3e
-from digraphsub.errors import InvariantViolation, PreconditionViolated, VertexOutOfRange
+from digraphsub.errors import InvariantViolation, VertexOutOfRange
 from digraphsub.k3e import find_k3e
 from digraphsub.mader import enumerate_digraphs
 from digraphsub.oracle import contains_subdivision, validate_certificate
+from digraphsub.outcome import NotFound
 
 from .conftest import rand_digraph, rand_out_digraph, run_script
 
@@ -47,8 +48,12 @@ class TestDirectCases:
         _check(d)
 
     def test_precondition_violated(self):
-        with pytest.raises(PreconditionViolated):
-            find_k3e(directed_cycle(4))
+        assert find_k3e(directed_cycle(4)) == NotFound("precondition", {"vertex": 1})
+
+    def test_empty_host_and_a_v0_without_out_arc_miss(self):
+        assert find_k3e(build_digraph(0, [])) == NotFound("precondition", {"n": 0})
+        d = build_digraph(3, [(0, 1), (0, 2), (1, 0), (1, 2)])
+        assert find_k3e(d, v0=2) == NotFound("precondition", {"vertex": 2})
 
     @pytest.mark.parametrize("v0", [-1, 4, 10])
     def test_v0_out_of_range(self, v0):
@@ -94,6 +99,16 @@ class TestReductions:
         ]
         d = build_digraph(5, arcs)
         _check(d, v0=0)
+
+    def test_trace_logs_each_step_as_an_event(self):
+        # the same schema as the other finders' logs: one "event" key each
+        arcs = [(0, 4), (0, 5), (1, 2), (1, 3), (2, 1), (2, 6), (3, 2), (3, 4),
+                (4, 0), (4, 3), (5, 0), (5, 4), (6, 1), (6, 2)]
+        trace = []
+        cert = find_k3e(build_digraph(7, arcs), trace=trace)
+        assert validate_certificate(build_digraph(7, arcs), PATTERN, cert)
+        assert [e["event"] for e in trace] == [
+            "terminal-component", "contract", "contract", "partition", "fan"]
 
 
 class TestSelfChecks:

@@ -169,6 +169,19 @@ class TestVerifyUpper:
         with pytest.raises(BadParams, match="unknown mode 'exhaustve'"):
             verify_upper(k3_minus_e(), 2, 5, mode="exhaustve", samples=3)
 
+    def test_k3e_finder_misses_below_its_precondition(self):
+        # find_k3e returns a miss on the digon, and the oracle confirms it
+        report = verify_upper(k3_minus_e(), 1, 3, finder=find_k3e)
+        assert report.outcome == "counterexample"
+        assert report.counterexample == build_digraph(2, [(0, 1), (1, 0)])
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_negative_budget_raises_before_any_host(self, mode, monkeypatch):
+        monkeypatch.setattr(mader, "enumerate_digraphs", None)
+        monkeypatch.setattr(mader, "sample_digraph", None)
+        with pytest.raises(BadParams, match="budget -1 is negative"):
+            verify_upper(k3_minus_e(), 2, 5, mode=mode, budget=-1)
+
     def test_report_serialisation(self):
         report = verify_upper(k3_minus_e(), 1, 3, pattern_name="k3e")
         assert '"counterexample"' in report.to_json()

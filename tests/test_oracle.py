@@ -21,7 +21,7 @@ from digraphsub.core import (
     pattern_two_block,
     transitive_tournament,
 )
-from digraphsub.errors import BudgetExceeded, ParseError
+from digraphsub.errors import BadParams, BudgetExceeded, ParseError
 from digraphsub.mader import enumerate_digraphs
 from digraphsub.oracle import (
     SearchBudget,
@@ -30,6 +30,7 @@ from digraphsub.oracle import (
     _closure,
     _orbit_floors,
     _simple_paths_shortest_first,
+    as_budget,
     automorphisms,
     contains_subdivision,
     has_even_dicycle,
@@ -79,6 +80,14 @@ class TestContainsSubdivision:
         budget = SearchBudget(max_nodes=10**6)
         contains_subdivision(directed_cycle(6), directed_cycle(3), budget)
         assert 0 < budget.consumed <= budget.max_nodes
+
+    def test_negative_budget_is_a_parameter_error(self):
+        # 0 allows no node at all; below that there is no budget to spend
+        assert as_budget(0).max_nodes == 0
+        with pytest.raises(BadParams, match="budget -3 is negative"):
+            as_budget(-3)
+        with pytest.raises(BadParams):
+            contains_subdivision(directed_cycle(6), directed_cycle(3), budget=-1)
 
     def test_monotone_under_arc_addition(self, rng):
         pattern = directed_cycle(3)
