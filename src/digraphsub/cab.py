@@ -309,9 +309,8 @@ def _close_walks_with_cycle(host, r_walk, w_walk, q, cyc, b, g) -> Gadget:
     p = r_walk[0]
     x = w_walk[-1]
     barred = set(w_walk[:-1]) | set(r_walk) | {q}
-    idx = next((j for j in range(len(cyc) - 1, 0, -1) if cyc[j] in barred), None)
-    if idx is None:
-        raise _Stuck("cycle-misses-walks", {"cycle_through": (x, cyc[1])})
+    # cyc[1] is u, on the first walk, so the search cannot come up empty
+    idx = next(j for j in range(len(cyc) - 1, 0, -1) if cyc[j] in barred)
     v = cyc[idx]
     if v in w_walk:
         raise _Stuck("girth-too-small", {"vertex": v})
@@ -450,24 +449,6 @@ def _extract_merge_gadget(host, root, u, arms, parent, depth, tree, b, h, budget
 
 
 # ---------------------------------------------------------------------------
-# contractions
-# ---------------------------------------------------------------------------
-
-def _contract(work: Digraph, arc: tuple[int, int]) -> tuple[Digraph, ContractionRecord]:
-    """Contract the arc (x, y) into y: x's in-neighbours are rerouted to y
-    and x stays behind as an isolated id."""
-    x, y = arc
-    if work.has_arc(y, x):
-        raise _Stuck("digon-at-contraction", {"arc": arc})
-    for z in work.in_nbrs(x):
-        if work.has_arc(z, y):
-            # a common in-neighbour of x and y contradicts the property
-            # failure that licensed this contraction
-            raise _Stuck("contraction-collision", {"arc": arc, "vertex": z})
-    return contract_arc(work, x, y, keep=y)
-
-
-# ---------------------------------------------------------------------------
 # the growth loop
 # ---------------------------------------------------------------------------
 
@@ -501,10 +482,8 @@ def find_cab(d: Digraph, a: int, b: int, budget: SearchBudget | int | None = Non
         try:
             found = _grow_and_close(work, params, budget, log)
         except PropertyViolated as pv:
-            try:
-                work, record = _contract(work, pv.arc)
-            except _Stuck as stuck:
-                return NotFound(stuck.reason, stuck.details)
+            # the walks saw no cycle of length <= g through it and no shared in-neighbour
+            work, record = contract_arc(work, *pv.arc, keep=pv.arc[1])
             records.append(record)
             log.append({"event": "contract", "arc": pv.arc, "n": d.n - len(records), "m": work.m})
             continue
@@ -677,12 +656,11 @@ def _scan(work, growth: _Growth, i0: int, params: CabParams, budget: SearchBudge
 def _close_from(work, growth: _Growth, idx: int, tail: Path, closure, via: str, params, log):
     """Close the chain cut at spine index ``idx`` and extended by ``tail``.
 
-    Returns the certificate, or None when the extended spine repeats a
-    vertex or ``close_chain`` rejects the closure.
+    Returns the certificate, or None when ``close_chain`` rejects the
+    closure.
     """
+    # every tail is a repeat-free run of explored vertices, none on the chain
     trial = growth.cut(idx, tail)
-    if len(set(trial.spine)) != len(trial.spine):
-        return None
     try:
         cert = close_chain(work, trial, closure, params.a, params.b)
     except (ClosureInvalid, ChainTooPoor, OverlapViolation, BadParams):
@@ -712,12 +690,9 @@ def _close_via_gadget(work, growth, parent, u, gadget, params, log):
 
     # cycle gadget: ride it from the first fresh-path vertex on it to the
     # first chain vertex; the arc entering the chain closes things up
+    # index[vm] >= i0 keeps vm off the cycle, so j >= 1 and rotated[0] is explored
     j, rotated = _rotate_onto_path(gadget.cycle, q_path)
-    if j == 0:
-        return None
-    hit = next((t for t in range(1, len(rotated)) if rotated[t] in index), None)
-    if hit is None:
-        return None
+    hit = next(t for t in range(1, len(rotated)) if rotated[t] in index)
     x = rotated[hit]
     return _close_from(work, growth, index[x], q_path[1:j + 1] + rotated[1:hit],
                        Condition1(x=x), "cycle-gadget", params, log)

@@ -267,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     find = sub.add_parser("find", help="search a host for a pattern subdivision")
     find.add_argument("--in", dest="input", required=True, help="edge-list file")
     find.add_argument("--pattern", required=True)
-    find.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET)
+    find.add_argument("--budget", type=_budget, default=DEFAULT_BUDGET,
+                      help="search nodes for cab, twoblock and the other cycle orientations; "
+                           "k3e and directed cycles run in polynomial time and never spend it")
     find.add_argument("--out", help="certificate JSON path")
     find.add_argument("--log", help="run-log JSONL path")
     find.set_defaults(func=cmd_find)

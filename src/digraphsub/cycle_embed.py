@@ -91,10 +91,10 @@ def cycle_shape(arcs) -> CycleShape | None:
     if len(seq) != len(verts):
         return None  # disconnected
 
+    # the walk leaves start by an out-arc when it has one, so a directed
+    # cycle is walked forwards and no walk runs all backwards
     if all(dirs):
         return CycleShape(blocks=(), dicycle=tuple(seq))
-    if not any(dirs):
-        return CycleShape(blocks=(), dicycle=tuple(reversed(seq)))
 
     # rotate so the walk starts at a direction change (a source)
     n = len(seq)

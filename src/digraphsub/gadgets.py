@@ -35,7 +35,7 @@ from .errors import (
     OverlapViolation,
     WrongKind,
 )
-from .oracle import SubdivisionCertificate, ValidationReport, require_valid
+from .oracle import SubdivisionCertificate, ValidationReport
 
 
 # ---------------------------------------------------------------------------
@@ -767,7 +767,8 @@ def close_chain(host, chain: Chain, closure, a: int, b: int) -> SubdivisionCerti
     sub = chain.subchain(b + 1, ell - b)
     r2 = chain_alt_path(sub, a2_count, b)
 
-    return require_valid(host, pattern_cab(a, b), join_alt_paths(host, r1, r2, b), "closure certificate")
+    # r1.a + r2.a - 2 is a, and join_alt_paths validates against C_{a,b} on host
+    return join_alt_paths(host, r1, r2, b)
 
 
 def _closure_alt_path(host, chain: Chain, closure, first: Gadget, b: int) -> AlternatingPath:

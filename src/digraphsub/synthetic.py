@@ -55,9 +55,8 @@ def make_type_i(rng: random.Random, alloc: IdAllocator, b: int, g: int,
     p = alloc.one() if p is None else p
     q = alloc.one() if q is None else q
     extra = rng.randrange(0, g + 1)
-    cycle = (p, q, *alloc.take(g - 2 + extra))
-    arcs = arcs_of_path(cycle) | {(cycle[-1], cycle[0])}
-    return arcs, Gadget(kind=GadgetKind.TYPE_I, p=p, q=q, cycle=cycle)
+    gadget = Gadget(kind=GadgetKind.TYPE_I, p=p, q=q, cycle=(p, q, *alloc.take(g - 2 + extra)))
+    return gadget.arcs(), gadget
 
 
 def make_type_ii_basic(rng: random.Random, alloc: IdAllocator, b: int,
@@ -67,32 +66,27 @@ def make_type_ii_basic(rng: random.Random, alloc: IdAllocator, b: int,
     length = 2 * b * b + b - 2 + rng.randrange(0, 2 * b + 1)
     inner = alloc.take(length)
     p1 = (*inner, p)  # r .. p
-    arcs = arcs_of_path(p1) | {(x, q) for x in p1}
-    return arcs, Gadget(kind=GadgetKind.TYPE_II_BASIC, p=p, q=q, r=p1[0], p1=p1)
+    gadget = Gadget(kind=GadgetKind.TYPE_II_BASIC, p=p, q=q, r=p1[0], p1=p1)
+    return gadget.arcs(), gadget
 
 
 def make_type_ii_extended(rng: random.Random, alloc: IdAllocator, b: int,
                           p: int | None = None, q: int | None = None,
                           link_kind: str | None = None) -> tuple[set[Arc], Gadget]:
-    arcs, basic = make_type_ii_basic(rng, alloc, b, p, q)
+    _, basic = make_type_ii_basic(rng, alloc, b, p, q)
     p1, r = basic.p1, basic.r
     p2 = (*alloc.take(b + rng.randrange(0, b + 1)), r)  # z .. r
-    arcs |= arcs_of_path(p2)
     if link_kind is None:
         link_kind = rng.choice([FIRST_TO_SECOND, "back_arc_p", "back_arc_inner"])
     if link_kind == FIRST_TO_SECOND:
         link = (FIRST_TO_SECOND,)
-        arcs.add((p2[0], p1[1]))
     elif link_kind == "back_arc_p":
         link = (BACK_ARC, basic.p)
-        arcs.add((basic.p, p2[0]))
     else:
-        w = p1[rng.randrange(1, len(p1))]  # anywhere past r, possibly p
-        link = (BACK_ARC, w)
-        arcs.add((w, p2[0]))
+        link = (BACK_ARC, p1[rng.randrange(1, len(p1))])  # anywhere past r, possibly p
     gadget = Gadget(kind=GadgetKind.TYPE_II_EXTENDED, p=basic.p, q=basic.q,
                     r=r, p1=p1, p2=p2, link=link)
-    return arcs, gadget
+    return gadget.arcs(), gadget
 
 
 def make_type_iii(rng: random.Random, alloc: IdAllocator, b: int,
@@ -102,8 +96,8 @@ def make_type_iii(rng: random.Random, alloc: IdAllocator, b: int,
     r = alloc.one()
     p1 = (p, *alloc.take(2 * b - 2 + rng.randrange(0, b + 1)), r)
     p2 = (q, *alloc.take(2 * b - 2 + rng.randrange(0, b + 1)), r)
-    arcs = {(p, q)} | arcs_of_path(p1) | arcs_of_path(p2)
-    return arcs, Gadget(kind=GadgetKind.TYPE_III, p=p, q=q, r=r, p1=p1, p2=p2)
+    gadget = Gadget(kind=GadgetKind.TYPE_III, p=p, q=q, r=r, p1=p1, p2=p2)
+    return gadget.arcs(), gadget
 
 
 _CHAIN_KINDS = (GadgetKind.TYPE_I, GadgetKind.TYPE_II_BASIC, GadgetKind.TYPE_III)
@@ -121,7 +115,8 @@ def make_gadget(rng: random.Random, alloc: IdAllocator, kind: GadgetKind,
         return make_type_iii(rng, alloc, b, p, q)
     p = alloc.one() if p is None else p
     q = alloc.one() if q is None else q
-    return {(p, q)}, Gadget(kind=GadgetKind.TRIVIAL, p=p, q=q)
+    gadget = Gadget(kind=GadgetKind.TRIVIAL, p=p, q=q)
+    return gadget.arcs(), gadget
 
 
 # ---------------------------------------------------------------------------

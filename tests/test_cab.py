@@ -41,6 +41,7 @@ from digraphsub.oracle import (
     ContractionRecord,
     SearchBudget,
     SubdivisionCertificate,
+    contract_arc,
     lift_contraction,
     validate_certificate,
 )
@@ -677,7 +678,7 @@ class TestChainMachineEndToEnd:
         for e in log[1:]:
             if e["event"] == "contract":
                 before = work
-                work, _ = cab._contract(work, e["arc"])
+                work, _ = contract_arc(work, *e["arc"], keep=e["arc"][1])
                 assert all(work.out_degree(v) <= before.out_degree(v) for v in work.vertices())
 
     def test_ring_of_dominating_gadgets(self):
@@ -934,6 +935,23 @@ class TestGoldenAnswers:
         for line in _golden_answers():
             digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == GOLDEN_CAB.read_text().strip()
+
+    def test_contractions_meet_their_precondition(self, monkeypatch):
+        # find_cab contracts an arc (x, y) with no guard of its own: the
+        # walks must already have ruled out the arc (y, x) and every
+        # in-neighbour shared by x and y
+        seen = []
+
+        def recording(work, x, y, keep):
+            shared = set(work.in_nbrs(x)) & set(work.in_nbrs(y)) - {x, y}
+            seen.append((x, y, work.has_arc(y, x), shared))
+            return contract_arc(work, x, y, keep)
+
+        monkeypatch.setattr(cab, "contract_arc", recording)
+        for _ in _golden_answers():
+            pass
+        assert seen
+        assert [c for c in seen if c[2] or c[3]] == []
 
 
 def _golden_outcome(d, a, b, budget) -> str:

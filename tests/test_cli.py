@@ -383,3 +383,10 @@ class TestUsageErrors:
         assert main(argv) == 2
         assert capsys.readouterr().out.startswith("budget exhausted:")
 
+    @pytest.mark.parametrize("pattern, code", [
+        ("k3e", 0), ("dicycle:3", 0), ("twoblock:2,2", 2), ("cab:2,1", 2),
+    ])
+    def test_zero_budget_binds_only_the_budgeted_searches(self, bivec_k4_file, pattern, code):
+        # k3e and directed cycles are polynomial and take no budget
+        assert main(["find", "--pattern", pattern, "--in", bivec_k4_file, "--budget", "0"]) == code
+
