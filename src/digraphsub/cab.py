@@ -24,6 +24,7 @@ from itertools import chain
 from .core import (
     Digraph,
     Path,
+    _check_in_range,
     bfs_levels,
     bfs_path,
     directed_girth,
@@ -249,44 +250,53 @@ def embed_gadget_i_or_ii(host, p: int, q: int, b: int, g: int,
     ``_Stuck`` signals a girth violation (walk vertices collided).
     """
     budget = as_budget(budget)
+    _check_in_range(host, (p,))
+    if b < 1:
+        raise BadParams(f"need b >= 1, got {b}")
     if not host.has_arc(p, q):
         raise BadParams(f"({p}, {q}) is not an arc")
-    walk_len = 2 * b * b + b - 2
 
     r_walk = [p]
     seen = {p, q}
-    for _ in range(walk_len):
-        x = r_walk[-1]
-        if _girth_distance_hits(host, x, q, g, budget):
-            cyc = _short_cycle_through(host, p, q, g, budget)
-            if cyc is None or len(cyc) < g:
-                raise _Stuck("girth-too-small", {"arc": (p, q)})
-            gadget = Gadget(kind=GadgetKind.TYPE_I, p=p, q=q, cycle=cyc)
-            _require_valid(host, gadget, b, g)
-            return gadget
-        _walk_step(host, r_walk, q, seen)
-
-    r_last, u = r_walk[-1], r_walk[-2]
-    w_walk = [r_last]
-    for _ in range(b):
-        x = w_walk[-1]
-        if _girth_distance_hits(host, x, u, g, budget):
-            cyc = _short_cycle_through(host, x, u, g, budget)
-            if cyc is None or len(cyc) != g:
-                raise _Stuck("girth-too-small", {"arc": (x, u)})
-            gadget = _close_walks_with_cycle(host, r_walk, w_walk, q, cyc, b, g)
-            _require_valid(host, gadget, b, g)
-            return gadget
-        _walk_step(host, w_walk, u, seen)
+    if _walk(host, r_walk, q, 2 * b * b + b - 2, g, seen, budget):
+        cyc = _short_cycle_through(host, p, q, g, budget)
+        if cyc is None or len(cyc) < g:
+            raise _Stuck("girth-too-small", {"arc": (p, q)})
+        return _require_valid(host, Gadget(kind=GadgetKind.TYPE_I, p=p, q=q, cycle=cyc), b, g)
 
     p1 = tuple(reversed(r_walk))  # r .. p, every vertex dominates q
-    p2 = tuple(reversed(w_walk))  # w_b .. r
-    gadget = Gadget(
-        kind=GadgetKind.TYPE_II_EXTENDED, p=p, q=q, r=r_last,
-        p1=p1, p2=p2, link=("first_to_second",),
-    )
-    _require_valid(host, gadget, b, g)
-    return gadget
+    u = r_walk[-2]
+    w_walk = [r_walk[-1]]
+    if _walk(host, w_walk, u, b, g, seen, budget):
+        # the second walk met a cycle through (x, u): its last vertex v
+        # on the first walk sends the back arc, and the cycle segment
+        # after v plus the second walk's descent is the auxiliary dipath
+        x = w_walk[-1]
+        cyc = _short_cycle_through(host, x, u, g, budget)
+        if cyc is None or len(cyc) != g:
+            raise _Stuck("girth-too-small", {"arc": (x, u)})
+        # q or a second-walk vertex on cyc[1:] would fail a walk's distance check
+        idx = max(j for j in range(1, g) if cyc[j] in r_walk)
+        link = ("back_arc", cyc[idx])
+        p2 = cyc[idx + 1 :] + (x,) + tuple(reversed(w_walk[:-1]))
+    else:
+        link = ("first_to_second",)
+        p2 = tuple(reversed(w_walk))  # w_b .. r
+    gadget = Gadget(kind=GadgetKind.TYPE_II_EXTENDED, p=p, q=q, r=r_walk[-1],
+                    p1=p1, p2=p2, link=link)
+    return _require_valid(host, gadget, b, g)
+
+
+def _walk(host, walk: list[int], y: int, steps: int, g: int, seen: set[int],
+          budget: SearchBudget) -> bool:
+    """Take up to ``steps`` common-in-neighbour steps from ``walk``'s end
+    towards y; True, with the walk ending at x, once a cycle of length
+    at most g runs through the arc (x, y)."""
+    for _ in range(steps):
+        if _girth_distance_hits(host, walk[-1], y, g, budget):
+            return True
+        _walk_step(host, walk, y, seen)
+    return False
 
 
 def _girth_distance_hits(host, x: int, y: int, g: int, budget: SearchBudget) -> bool:
@@ -296,47 +306,11 @@ def _girth_distance_hits(host, x: int, y: int, g: int, budget: SearchBudget) -> 
     return x in dist
 
 
-def _close_walks_with_cycle(host, r_walk, w_walk, q, cyc, b, g) -> Gadget:
-    """Resolve a cycle met during the second walk into a gadget.
-
-    ``cyc`` runs through the arc (x, u) where x is the second walk's end
-    and u the first walk's second vertex.  Walking the cycle backwards
-    from x, the first previously-seen vertex v decides the outcome: at q
-    the pieces close into one long cycle through (p, q); on the first
-    walk they assemble into an extended dominating gadget whose back arc
-    leaves v.
-    """
-    p = r_walk[0]
-    x = w_walk[-1]
-    barred = set(w_walk[:-1]) | set(r_walk) | {q}
-    # cyc[1] is u, on the first walk, so the search cannot come up empty
-    idx = next(j for j in range(len(cyc) - 1, 0, -1) if cyc[j] in barred)
-    v = cyc[idx]
-    if v in w_walk:
-        raise _Stuck("girth-too-small", {"vertex": v})
-
-    if v == q:
-        # p, q, around the found cycle to x, one hop to u, then descend
-        # the first walk back to p
-        seq = [p, q] + list(cyc[idx + 1 :]) + [x] + list(reversed(r_walk[1:-1]))
-        if len(set(seq)) != len(seq):
-            raise _Stuck("girth-too-small", {"vertex": v})
-        return Gadget(kind=GadgetKind.TYPE_I, p=p, q=q, cycle=tuple(seq))
-
-    # v sits on the first walk: the cycle segment after v, plus the
-    # second walk's descent, forms the auxiliary dipath
-    p1 = tuple(reversed(r_walk))
-    p2 = tuple(cyc[idx + 1 :]) + (x,) + tuple(reversed(w_walk[:-1]))
-    return Gadget(
-        kind=GadgetKind.TYPE_II_EXTENDED, p=p, q=q, r=r_walk[-1],
-        p1=p1, p2=p2, link=("back_arc", v),
-    )
-
-
-def _require_valid(host, gadget: Gadget, b: int, g: int) -> None:
+def _require_valid(host, gadget: Gadget, b: int, g: int) -> Gadget:
     report = validate_gadget(host, gadget, b, g)
     if not report:
         raise _Stuck("embedded-gadget-invalid", {"kind": gadget.kind.value, "why": report.violation})
+    return gadget
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +329,9 @@ def embed_gadget_iii(host, v: int, b: int, h: int, width: int,
     surface as ``PreconditionUnverifiable`` with a witness.
     """
     budget = as_budget(budget)
+    _check_in_range(host, (v,))
+    if b < 1:
+        raise BadParams(f"need b >= 1, got {b}")
     arm_len = 2 * b - 1
     parent: dict[int, int] = {v: None}
     depth: dict[int, int] = {v: 0}

@@ -109,6 +109,13 @@ def _check_arc(n: int, u: int, v: int) -> None:
         raise LoopArc(f"loop arc ({u}, {u})")
 
 
+def _check_in_range(d: Digraph, vertices) -> None:
+    """Bad input, not a bug: an id outside 0..n-1 raises ``VertexOutOfRange``."""
+    for w in vertices:
+        if not 0 <= w < d.n:
+            raise VertexOutOfRange(f"vertex {w} outside 0..{d.n - 1}")
+
+
 def build_digraph(n: int, arcs: Iterable[Arc]) -> Digraph:
     """Digraph with exactly the given arcs; duplicates collapse."""
     if n < 0:
@@ -330,6 +337,8 @@ def directed_cycle(length: int) -> Digraph:
 
 def directed_path(length: int) -> Digraph:
     """Dipath with ``length`` arcs on ``length + 1`` vertices."""
+    if length < 0:
+        raise BadParams(f"a dipath needs length >= 0, got {length}")
     return build_digraph(length + 1, [(i, i + 1) for i in range(length)])
 
 
@@ -457,6 +466,7 @@ def to_dot(d: Digraph, name: str = "d") -> str:
 def greedy_maximal_path(host, start: int) -> Path:
     """Extend a dipath from ``start`` by lowest-id fresh out-neighbours
     until the end vertex has no out-neighbour off the path."""
+    _check_in_range(host, (start,))
     seq = [start]
     on_path = {start}
     while True:

@@ -20,12 +20,10 @@ from .oracle import SubdivisionCertificate, validate_certificate
 
 @dataclass(frozen=True)
 class Block:
-    """One maximal directed run of a cycle: a dipath from src to snk."""
+    """One maximal directed run of a cycle: a dipath from source to sink."""
 
-    src: int
-    snk: int
-    path: Path  # src .. snk
-    forward: bool  # True when the cyclic walk traverses src -> snk
+    path: Path  # source .. sink
+    forward: bool  # True when the cyclic walk traverses source -> sink
 
 
 @dataclass(frozen=True)
@@ -63,12 +61,8 @@ def cycle_shape(arcs) -> CycleShape | None:
         out.setdefault(v, [])
         inc.setdefault(u, [])
     verts = sorted(out)
-    if len(arc_set) != len(verts):
-        return None
     if any(len(out[v]) + len(inc[v]) != 2 for v in verts):
         return None
-    if any((u, v) in arc_set and (v, u) in arc_set for u, v in arc_set):
-        return None  # a digon inside a larger arc set cannot be a simple cycle
 
     # walk the underlying cycle
     start = verts[0]
@@ -83,7 +77,7 @@ def cycle_shape(arcs) -> CycleShape | None:
         nbrs = [(w, True) for w in out[cur]] + [(w, False) for w in inc[cur]]
         step = [(w, f) for w, f in nbrs if w != prev]
         if len(step) != 1:
-            return None
+            return None  # a digon inside a larger arc set
         w, f = step[0]
         seq.append(w)
         dirs.append(f)
@@ -110,20 +104,16 @@ def cycle_shape(arcs) -> CycleShape | None:
             j += 1
         run = seq[i : j + 1] if j < n else seq[i:] + [seq[0]]
         if dirs[i]:
-            blocks.append(Block(src=run[0], snk=run[-1], path=tuple(run), forward=True))
+            blocks.append(Block(path=tuple(run), forward=True))
         else:
-            blocks.append(Block(src=run[-1], snk=run[0], path=tuple(reversed(run)), forward=False))
+            blocks.append(Block(path=tuple(reversed(run)), forward=False))
         i = j
     return CycleShape(blocks=tuple(blocks), dicycle=None)
 
 
 def digraph_cycle_shape(d: Digraph) -> CycleShape | None:
     """Shape of the whole digraph when it is exactly one oriented cycle."""
-    if d.n == 0 or d.m != d.n:
-        return None
-    if any(d.out_degree(v) + d.in_degree(v) != 2 for v in d.vertices()):
-        return None
-    return cycle_shape(d.arcs())
+    return cycle_shape(d.arcs()) if d.m == d.n else None
 
 
 def _rotations(blocks: tuple[Block, ...]):
@@ -134,7 +124,7 @@ def _rotations(blocks: tuple[Block, ...]):
 
 def _reversed_walk(blocks: tuple[Block, ...]) -> tuple[Block, ...]:
     return tuple(
-        Block(src=b.src, snk=b.snk, path=b.path, forward=not b.forward)
+        Block(path=b.path, forward=not b.forward)
         for b in reversed(blocks)
     )
 

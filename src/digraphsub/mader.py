@@ -35,6 +35,8 @@ def enumerate_digraphs(n: int, min_out: int, shard: int = 0, shards: int = 1) ->
     """
     if n > EXHAUSTIVE_LIMIT:
         raise TooLarge(f"exhaustive enumeration capped at {EXHAUSTIVE_LIMIT} vertices")
+    if not 0 <= shard < shards:
+        raise BadParams(f"need 0 <= shard < shards, got shard {shard} of {shards}")
     if n < 1:
         return
     per_vertex: list[list[tuple[int, ...]]] = []
@@ -70,6 +72,8 @@ def sample_digraph(rng: random.Random, n: int, min_out: int, p: float = 0.5) -> 
     Arcs appear independently with probability p; vertices short of
     ``min_out`` out-arcs then gain their lowest-id missing ones.
     """
+    if n < 0:
+        raise BadParams(f"a digraph needs n >= 0 vertices, got {n}")
     rows: list[tuple[int, ...]] = []
     for u in range(n):
         row = {v for v in range(n) if v != u and rng.random() < p}

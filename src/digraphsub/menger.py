@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import Digraph, Path, bfs_levels
+from .core import Digraph, Path, _check_in_range, bfs_levels
 from .errors import (
     ArcPresent,
     BadParams,
@@ -43,7 +43,6 @@ from .errors import (
     InvariantViolation,
     SameVertex,
     VertexInSet,
-    VertexOutOfRange,
 )
 
 
@@ -315,13 +314,6 @@ def strong_arc_connectivity(d: Digraph) -> int:
 # ---------------------------------------------------------------------------
 # self-checks (explicit raises, so ``python -O`` keeps them)
 # ---------------------------------------------------------------------------
-
-def _check_in_range(d: Digraph, vertices) -> None:
-    """Bad input, not a bug: an id outside 0..n-1 raises ``VertexOutOfRange``."""
-    for w in vertices:
-        if not 0 <= w < d.n:
-            raise VertexOutOfRange(f"vertex {w} outside 0..{d.n - 1}")
-
 
 def _check(ok: bool, message: str) -> None:
     if not ok:

@@ -13,7 +13,7 @@ farthest targets yield the long route and the short route at once.
 
 from __future__ import annotations
 
-from .core import Digraph, Path, bfs_levels, bfs_path, greedy_maximal_path, path_to, pattern_two_block
+from .core import Digraph, Path, _check_in_range, bfs_levels, bfs_path, greedy_maximal_path, path_to, pattern_two_block
 from .cycle_embed import lay_path
 from .errors import BadParams, InvariantViolation, StuckGreedy
 from .oracle import SearchBudget, SubdivisionCertificate, as_budget, require_valid
@@ -27,6 +27,7 @@ def fork(d, v: int, l1: int, l2: int, forbidden=()) -> tuple[Path, Path]:
     Raises ``StuckGreedy`` with the partial path when some endpoint has
     no fresh out-neighbour, which witnesses a degree shortfall.
     """
+    _check_in_range(d, (v,))
     blocked = set(forbidden)
     blocked.discard(v)
     paths: list[list[int]] = []
@@ -261,9 +262,8 @@ def _improve(d: Digraph, state: _GoodPathState, mine: Path, k2: int,
         if step is None:
             continue
         new_p2 = f2 + (step,)
+        # fork keeps f2 off f1 and step avoids banned, so they meet only at tip
         if set(f1) & set(spine) != {tip} or set(new_p2) & set(spine) != {tip}:
-            continue
-        if set(f1) & set(new_p2) != {tip}:
             continue
         return _GoodPathState(spine, f1, new_p2)
     return None

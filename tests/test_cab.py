@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from digraphsub.core import (
     pattern_cab,
     pattern_two_block,
 )
-from digraphsub.cycle_embed import certificate_from_cycle, digraph_cycle_shape
+from digraphsub.cycle_embed import certificate_from_cycle, cycle_shape, digraph_cycle_shape
 from digraphsub.errors import (
     BadParams,
     BudgetExceeded,
@@ -292,6 +293,58 @@ class TestEmbedIOrII:
             embed_gadget_i_or_ii(host, 0, 1, 1, 4)
         assert info.value.arc == (0, 1)
 
+    @pytest.mark.parametrize("b", [0, -1])
+    def test_walk_length_below_one_is_bad_params(self, b):
+        with pytest.raises(BadParams):
+            embed_gadget_i_or_ii(directed_cycle(4), 0, 1, b, 4)
+
+    def test_outcomes_on_random_cyclic_lifts(self):
+        # every third arc of 40 seeded cyclic lifts at b in {1, 2} and
+        # g in 3..6; a second walk that meets a cycle always closes into
+        # a back-arc gadget, and only the walks' own arcs are too short
+        rng = random.Random(11)
+        seen = Counter()
+        for _ in range(40):
+            host = _cyclic_lift(rng)
+            for p, q in list(host.arcs())[::3]:
+                for b in (1, 2):
+                    for g in range(3, 7):
+                        try:
+                            gadget = embed_gadget_i_or_ii(host, p, q, b, g)
+                        except PropertyViolated:
+                            seen["property-violated"] += 1
+                        except cab._Stuck as stuck:
+                            seen[stuck.reason] += 1
+                            if stuck.reason == "girth-too-small":
+                                assert set(stuck.details) == {"arc"}
+                        else:
+                            seen["/".join((gadget.kind.value, *(gadget.link or ())[:1]))] += 1
+        assert seen["dominating-extended/back_arc"] >= 40
+        assert "embedded-gadget-invalid" not in seen
+        assert seen == {
+            "cycle": 2406,
+            "dominating-extended/back_arc": 54,
+            "dominating-extended/first_to_second": 8,
+            "girth-too-small": 3476,
+            "property-violated": 6768,
+            "walk-collision": 64,
+        }
+
+
+def _cyclic_lift(rng):
+    """Random cyclic lift: a base digraph on 3-6 vertices, each base arc
+    (u, v) lifted with a random shift c to the arcs (u, i) -> (v, i + c)
+    modulo the lift size 4-15."""
+    base_n = rng.randrange(3, 7)
+    size = rng.randrange(4, 16)
+    arcs = []
+    for u in range(base_n):
+        for v in range(base_n):
+            if u != v and rng.random() < 0.6:
+                c = rng.randrange(size)
+                arcs.extend((u * size + i, v * size + (i + c) % size) for i in range(size))
+    return build_digraph(base_n * size, arcs)
+
 
 def _merge_gadget_host(b, d_width):
     """A (2b-1)-subdivided tree of width d_width, one starving branch
@@ -337,6 +390,10 @@ class TestEmbedIII:
         host = build_digraph(3, [(0, 1), (1, 2), (2, 0)])
         with pytest.raises(PreconditionUnverifiable):
             embed_gadget_iii(host, 0, b=2, h=2, width=3)
+
+    def test_arm_length_below_one_is_bad_params(self):
+        with pytest.raises(BadParams):
+            embed_gadget_iii(directed_cycle(4), 0, b=0, h=2, width=2)
 
 
 class TestMergeRound:
@@ -559,6 +616,24 @@ class TestFindCabSoundness:
         out = find_cab(d, 2, 1, budget=5000)
         assert isinstance(out, NotFound)
         assert out.reason and isinstance(out.details, dict)
+
+
+class TestCycleShape:
+    @pytest.mark.parametrize("arcs", [
+        [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)],  # a digon beside a triangle
+        [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)],  # two disjoint triangles
+        [(0, 1), (1, 2), (2, 0), (0, 3)],  # a degree-3 vertex
+    ])
+    def test_every_vertex_of_degree_two_but_not_one_cycle(self, arcs):
+        assert cycle_shape(arcs) is None
+        assert digraph_cycle_shape(build_digraph(1 + max(map(max, arcs)), arcs)) is None
+
+    def test_one_cycle_and_the_empty_graph(self):
+        assert digraph_cycle_shape(directed_cycle(3)).dicycle == (0, 1, 2)
+        assert digraph_cycle_shape(bioriented_clique(2)).dicycle == (0, 1)
+        assert digraph_cycle_shape(build_digraph(0, [])) is None
+        # as many arcs as vertices, one of them isolated
+        assert digraph_cycle_shape(build_digraph(4, [(0, 1), (1, 0), (1, 2), (2, 0)])) is None
 
 
 class TestOrientedCycleDispatch:

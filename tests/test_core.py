@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from digraphsub import core
+from digraphsub.cab import embed_gadget_i_or_ii, embed_gadget_iii
 from digraphsub.core import (
     Digraph,
     bfs_levels,
@@ -40,6 +41,8 @@ from digraphsub.errors import (
     VertexOutOfRange,
 )
 from digraphsub.oracle import SearchBudget
+from digraphsub.synthetic import ring_of_cycle_gadgets
+from digraphsub.two_block import fork
 
 
 def digraphs(max_n=7):
@@ -240,10 +243,30 @@ class TestGenerators:
     @pytest.mark.parametrize("make,size", [
         (bioriented_clique, -1), (transitive_tournament, -2), (directed_path, -3), (bioriented_path, -2),
         (bioriented_star, -1),
+        (directed_path, -1),
     ])
     def test_negative_size_is_a_parameter_error(self, make, size):
         with pytest.raises(BadParams):
             make(size)
+
+
+class TestWalkEntriesCheckIds:
+    # a negative id must not wrap to a real vertex under a second name,
+    # nor an id past the end raise IndexError
+    ENTRIES = {
+        "greedy_maximal_path": lambda d, v: core.greedy_maximal_path(d, v),
+        "fork": lambda d, v: fork(d, v, 1, 1),
+        "embed_gadget_i_or_ii": lambda d, v: embed_gadget_i_or_ii(d, v, 1, 1, 4),
+        "embed_gadget_iii": lambda d, v: embed_gadget_iii(d, v, 1, 2, 2),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("shift", [-1, "-n", "n"])
+    def test_id_outside_the_graph(self, entry, shift):
+        d = ring_of_cycle_gadgets(8)
+        v = {"-n": -d.n, "n": d.n}.get(shift, shift)
+        with pytest.raises(VertexOutOfRange, match=f"vertex {v} outside 0..{d.n - 1}"):
+            self.ENTRIES[entry](d, v)
 
 
 def _isomorphic(a: Digraph, b: Digraph) -> bool:

@@ -47,6 +47,11 @@ class TestEnumeration:
         with pytest.raises(TooLarge):
             next(enumerate_digraphs(6, 0))
 
+    @pytest.mark.parametrize("shard, shards", [(0, 0), (-1, 2), (2, 2), (5, 2)])
+    def test_shard_outside_its_range_is_bad_params(self, shard, shards):
+        with pytest.raises(BadParams):
+            list(enumerate_digraphs(3, 1, shard, shards))
+
     def test_shards_partition(self):
         whole = [tuple(sorted(d.arcs())) for d in enumerate_digraphs(3, 1)]
         pieces = []
@@ -80,6 +85,10 @@ class TestSampling:
         for _ in range(50):
             d = sample_digraph(rng, 12, 4, p=0.1)
             assert min_out_degree(d) >= 4
+
+    def test_negative_vertex_count_is_bad_params(self):
+        with pytest.raises(BadParams):
+            sample_digraph(random.Random(0), -1, 0)
 
     def test_seeded_reproducibility(self):
         a = sample_digraph(random.Random(9), 10, 2)
