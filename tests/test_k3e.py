@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from .conftest import rand_digraph, rand_out_digraph, run_script
 
 PATTERN = k3_minus_e()
 GOLDEN_K3E = Path(__file__).parent / "data" / "k3e_golden.sha256"
+GOLDEN_K3E_TRACE = Path(__file__).parent / "data" / "k3e_trace_golden.sha256"
 
 
 def _check(d, v0=None):
@@ -250,23 +252,46 @@ class TestGoldenAnswers:
             digest.update(line.encode() + b"\n")
         assert digest.hexdigest() == GOLDEN_K3E.read_text().strip()
 
+    def test_traces_match_recorded_hash(self):
+        # the step order and every event payload on the same hosts: a
+        # reordered reduction can leave the certificates alone
+        digest = hashlib.sha256()
+        for line in _golden_traces():
+            digest.update(line.encode() + b"\n")
+        assert digest.hexdigest() == GOLDEN_K3E_TRACE.read_text().strip()
+
 
 def _canonical(cert) -> str:
     return f"{sorted(cert.branch.items())} {sorted(cert.paths.items())}"
 
 
 def _golden_answers():
+    for header, d, v0 in _golden_runs():
+        if header:
+            yield header
+        yield _canonical(find_k3e(d, v0))
+
+
+def _golden_traces():
+    for _, d, v0 in _golden_runs():
+        trace = []
+        find_k3e(d, v0, trace=trace)
+        yield json.dumps(trace, sort_keys=True)
+
+
+def _golden_runs():
     """Every 2-out host with n <= 4 (default v0, then each explicit v0),
     every 7th host of shard 3 of 11 at n = 5, then seeded hosts on 6-30
-    vertices whose chosen v0 keeps a single out-arc every other time."""
+    vertices whose chosen v0 keeps a single out-arc every other time;
+    each seeded host comes with a line that records it."""
     for n in (3, 4):
         for d in enumerate_digraphs(n, 2):
-            yield _canonical(find_k3e(d))
+            yield None, d, None
             for v0 in d.vertices():
-                yield _canonical(find_k3e(d, v0))
+                yield None, d, v0
     for i, d in enumerate(enumerate_digraphs(5, 2, shard=3, shards=11)):
         if i % 7 == 0:
-            yield _canonical(find_k3e(d))
+            yield None, d, None
     rng = random.Random(0x3E3)
     for trial in range(200):
         n = rng.randrange(6, 31)
@@ -280,5 +305,4 @@ def _golden_answers():
         if trial % 2:
             keep = rng.choice(d.out_nbrs(v0))
             d = build_digraph(n, [(u, w) for u, w in d.arcs() if u != v0 or w == keep])
-        yield f"host {n} {v0} {sorted(d.arcs())}"
-        yield _canonical(find_k3e(d, v0))
+        yield f"host {n} {v0} {sorted(d.arcs())}", d, v0
