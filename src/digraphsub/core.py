@@ -239,53 +239,49 @@ def strong_components(d: Digraph) -> list[list[int]]:
     component is listed with its vertices sorted, so the output is
     deterministic.
     """
-    n = d.n
+    return _components(d._out, range(d.n))
+
+
+def _components(rows, roots) -> list[list[int]]:
+    """Tarjan over sorted out-rows indexed by vertex, from ``roots`` in
+    the given order; a vertex no root reaches is left out.  A vertex's
+    index is its place on the stack, so its component slices off there,
+    and an emitted vertex's index becomes ``n``, above every low-link,
+    so no on-stack flag is needed."""
+    n = len(rows)
     index = [-1] * n
     low = [0] * n
-    on_stack = bytearray(n)
     stack: list[int] = []
     comps: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
+    for root in roots:
         if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        index[root] = low[root] = len(stack)
+        stack.append(root)
+        work = [(root, iter(rows[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = 1
-            advanced = False
-            row = d.out_nbrs(v)
-            while pi < len(row):
-                w = row[pi]
-                pi += 1
+            v, it = work[-1]
+            for w in it:
                 if index[w] < 0:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+                    index[w] = low[w] = len(stack)
+                    stack.append(w)
+                    work.append((w, iter(rows[w])))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = 0
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                comps.append(comp)
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = stack[low[v]:]
+                    del stack[low[v]:]
+                    for w in comp:
+                        index[w] = n
+                    comp.sort()
+                    comps.append(comp)
+                else:  # v's DFS parent is on top of the work stack
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return comps
 
 

@@ -6,20 +6,21 @@ argument as one loop of explicit reduction steps: trim to exact
 out-degrees, descend into a terminal strong component, cut along a
 one-vertex separator (re-entering through a bridging dipath), or
 contract the special vertex's out-arc; the loop ends when a two-path
-fan yields the certificate.  Every step works on a plain ``Digraph`` on
-the input's own ids: a vertex a step removes stays behind isolated, so
-the live vertices are those with out-arcs, and every step leaves fewer
-of them.  Separator and contraction steps push the data that lifts a
-certificate back across them, and the stack is replayed in reverse
-before returning.
+fan yields the certificate.  Every step works on one list of out-rows
+on the input's own ids (trim and contraction edit it in place): a
+vertex a step removes keeps an empty row, so the live vertices are
+those with out-arcs, and every step leaves fewer of them.  Only the fan query builds a ``Digraph``, from
+the rows as they stand.  Separator and contraction steps push the data
+that lifts a certificate back across them, and the stack is replayed
+in reverse before returning.
 """
 
 from __future__ import annotations
 
-from .core import Digraph, Path, bfs_levels, bfs_path, k3_minus_e, strong_components
+from .core import Digraph, Path, _components, bfs_levels, bfs_path, k3_minus_e
 from .errors import InvariantViolation, VertexOutOfRange
 from .menger import fan_to_set
-from .oracle import SubdivisionCertificate, contract_arc, lift_contraction, require_valid
+from .oracle import SubdivisionCertificate, _contract_rows, lift_contraction, require_valid
 from .outcome import NotFound
 
 _PATTERN = k3_minus_e()
@@ -49,41 +50,55 @@ def find_k3e(d: Digraph, v0: int | None = None,
             return NotFound("precondition", {"vertex": v})
 
     # each pass either ends at the fan or removes at least one live
-    # vertex, so the loop ends within d.n passes
-    host, lifts = d, []
-    for _ in range(host.n):
-        d = _trim(d, v0)
-        comps = [comp for comp in strong_components(d) if d.out_nbrs(comp[0])]
-        if len(comps) > 1:
-            term = _terminal_component(d, comps)
-            d = Digraph(d.n, tuple(d.out_nbrs(v) if v in term else () for v in d.vertices()))
-            v0 = v0 if v0 in term else min(term)
-            trace.append({"event": "terminal-component", "size": len(term), "v0": v0})
-            continue
+    # vertex, so the loop ends within n passes
+    host, lifts, n = d, [], d.n
+    rows = list(map(d.out_nbrs, d.vertices()))
+    strong = False
+    for _ in range(n):
+        if not strong:
+            _trim(rows, v0)
+            comps = _components(rows, [v for v in range(n) if rows[v]])
+            if len(comps) > 1:
+                term = _terminal_component(rows, comps)
+                rows = [row if v in term else () for v, row in enumerate(rows)]
+                # with v0 kept, the next pass's trim and Tarjan could only
+                # return this strong, trimmed component with no way out
+                strong = v0 in term
+                v0 = v0 if strong else min(term)
+                trace.append({"event": "terminal-component", "size": len(term), "v0": v0})
+                continue
+        strong = False
 
-        (v1,) = d.out_nbrs(v0)
-        common = sorted(set(d.in_nbrs(v0)) & set(d.in_nbrs(v1)))
+        (v1,) = rows[v0]
+        ins0, ins1 = [], []
+        for x, row in enumerate(rows):
+            if v0 in row:
+                ins0.append(x)
+            if v1 in row:
+                ins1.append(x)
+        common = set(ins0).intersection(ins1)
         if common:
-            z0 = common[0]
+            z0 = min(common)
+            d = Digraph(n, tuple(rows))
             res = fan_to_set(d, v1, {v0, z0}, 2)
             if res.found:
                 trace.append({"event": "fan", "v0": v0, "v1": v1, "z0": z0})
                 cert = _fan_certificate(v0, v1, z0, res.fan)
                 break
-            d, v0, bridge = _separate(d, v0, v1, z0, res.cut, trace)
+            rows, v0, bridge = _separate(d, v0, v1, z0, res.cut, trace)
             lifts.append((_lift_partition, bridge))
             continue
 
         # contract: v0 and v1 share no in-neighbour, so merging v1 into v0
         # keeps every out-degree intact; the merged row is v1's, and the
         # next trim keeps its lowest entry v2
-        v2 = next(w for w in d.out_nbrs(v1) if w != v0)
-        redirected = [x for x in d.in_nbrs(v1) if x != v0]
-        d, record = contract_arc(d, v0, v1, keep=v0)
+        v2 = next(w for w in rows[v1] if w != v0)
+        redirected = [x for x in ins1 if x != v0]
+        record = _contract_rows(rows, v0, v1, v0, ins1, ins0)
         trace.append({"event": "contract", "v0": v0, "v1": v1, "v2": v2, "redirected": redirected})
         lifts.append((lift_contraction, record))
     else:
-        raise InvariantViolation(f"reductions ran past {host.n} steps")
+        raise InvariantViolation(f"reductions ran past {n} steps")
 
     for lift, data in reversed(lifts):
         cert = lift(cert, data)
@@ -94,17 +109,22 @@ def find_k3e(d: Digraph, v0: int | None = None,
 # the reduction steps
 # ---------------------------------------------------------------------------
 
-def _trim(d: Digraph, v0: int) -> Digraph:
-    """Every row cut to its lowest entries: one for v0, two elsewhere."""
-    return Digraph(d.n, tuple(d.out_nbrs(v)[: 1 if v == v0 else 2] for v in d.vertices()))
+def _trim(rows: list, v0: int) -> None:
+    """Every row cut to its lowest entries, in place: one for v0, two
+    elsewhere."""
+    for v, row in enumerate(rows):
+        if len(row) > 2:
+            rows[v] = row[:2]
+    rows[v0] = rows[v0][:1]
 
 
-def _terminal_component(d: Digraph, comps: list[list[int]]) -> set[int]:
-    """The first live strong component Tarjan emits.  Live vertices only
-    point to live ones, and Tarjan emits a component only after every
-    component it reaches, so this one has no outgoing arc."""
+def _terminal_component(rows: list, comps: list[list[int]]) -> set[int]:
+    """The first strong component Tarjan emits from the live vertices.
+    Live vertices only point to live ones, and Tarjan emits a component
+    only after every component it reaches, so this one has no outgoing
+    arc."""
     term = set(comps[0])
-    if any(w not in term for v in term for w in d.out_nbrs(v)):
+    if any(w not in term for v in term for w in rows[v]):
         raise InvariantViolation("first live strong component has an outgoing arc")
     return term
 
@@ -127,10 +147,10 @@ def _fan_certificate(v0: int, v1: int, z0: int, fan) -> SubdivisionCertificate:
 
 
 def _separate(d: Digraph, v0: int, v1: int, z0: int, cut,
-              trace: list) -> tuple[Digraph, int, Path]:
+              trace: list) -> tuple[list, int, Path]:
     """The side of the one-vertex cut that v1 reaches, entered from the
     separator s0 by a stand-in arc for a bridging dipath; returns that
-    graph, s0 and the bridge."""
+    side's out-rows, s0 and the bridge."""
     if len(cut) != 1:
         raise InvariantViolation("a strong graph cannot have an empty fan cut")
     (s0,) = cut
@@ -146,7 +166,7 @@ def _separate(d: Digraph, v0: int, v1: int, z0: int, cut,
         rows[v] = d.out_nbrs(v)
     rows[s0] = tuple(sorted({x for x in d.out_nbrs(s0) if x in w_side} | {bridge[-1]}))
     trace.append({"event": "partition", "s0": s0, "kept": len(w_side), "bridge": list(bridge)})
-    return Digraph(d.n, tuple(rows)), s0, bridge
+    return rows, s0, bridge
 
 
 def _lift_partition(cert: SubdivisionCertificate, bridge: Path) -> SubdivisionCertificate:

@@ -104,18 +104,27 @@ def contract_arc(d: Digraph, tail: int, head: int, keep: int) -> tuple[Digraph, 
     every id keeps its meaning.  The ends must share no in-neighbour,
     which would merge two arcs into one.
     """
-    gone = head if keep == tail else tail
     rows = list(map(d.out_nbrs, d.vertices()))
-    for z in d.in_nbrs(gone):
+    gone_ins = d.in_nbrs(head if keep == tail else tail)
+    record = _contract_rows(rows, tail, head, keep, gone_ins, d.in_nbrs(tail))
+    return Digraph(d.n, tuple(rows)), record
+
+
+def _contract_rows(rows: list, tail: int, head: int, keep: int,
+                   gone_ins, tail_ins) -> ContractionRecord:
+    """``contract_arc`` on a list of out-rows, edited in place;
+    ``gone_ins`` and ``tail_ins`` are the in-neighbours of the end that
+    goes and of the tail."""
+    gone = head if keep == tail else tail
+    for z in gone_ins:
         if z == keep:
             continue
         if keep in rows[z]:
             raise InvariantViolation(f"{z} is an in-neighbour of both {tail} and {head}")
         rows[z] = tuple(sorted(keep if w == gone else w for w in rows[z]))
-    rows[keep] = tuple(w for w in d.out_nbrs(head) if w != tail)
+    rows[keep] = tuple(w for w in rows[head] if w != tail)
     rows[gone] = ()
-    record = ContractionRecord(tail, head, keep, tuple(z for z in d.in_nbrs(tail) if z != head))
-    return Digraph(d.n, tuple(rows)), record
+    return ContractionRecord(tail, head, keep, tuple(z for z in tail_ins if z != head))
 
 
 def lift_contraction(cert: SubdivisionCertificate, rec: ContractionRecord) -> SubdivisionCertificate:

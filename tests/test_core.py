@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,8 @@ from digraphsub.errors import (
 from digraphsub.oracle import SearchBudget
 from digraphsub.synthetic import ring_of_cycle_gadgets
 from digraphsub.two_block import fork
+
+from .conftest import rand_digraph
 
 
 def digraphs(max_n=7):
@@ -159,6 +162,75 @@ class TestStrongComponents:
     @pytest.mark.parametrize("length", [2, 3, 5, 9])
     def test_cycle_always_one_class(self, length):
         assert len(strong_components(directed_cycle(length))) == 1
+
+    @pytest.mark.parametrize("p", [0.03, 0.08, 0.15, 0.3, 0.6])
+    def test_same_components_in_same_order_as_reference(self, p):
+        # find_k3e descends into the first component emitted, so the
+        # order is pinned too, not only the partition
+        rng = random.Random(f"scc-{p}")
+        for n in range(1, 31):
+            for _ in range(3):
+                d = rand_digraph(rng, n, p)
+                assert strong_components(d) == _reference_components(d)
+
+    def test_long_dipath(self):
+        # a DFS 5,000 vertices deep, past the default recursion limit,
+        # and 5,000 components taken off a stack that deep
+        d = directed_path(4999)
+        expected = [[v] for v in reversed(d.vertices())]
+        assert strong_components(d) == _reference_components(d) == expected
+
+
+def _reference_components(d):
+    """The iterative Tarjan that strong_components ran before it kept a
+    row iterator per work entry and a stack position per vertex."""
+    n = d.n
+    index = [-1] * n
+    low = [0] * n
+    on_stack = bytearray(n)
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = 1
+            advanced = False
+            row = d.out_nbrs(v)
+            while pi < len(row):
+                w = row[pi]
+                pi += 1
+                if index[w] < 0:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = 0
+                    comp.append(w)
+                    if w == v:
+                        break
+                comp.sort()
+                comps.append(comp)
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    return comps
 
 
 class TestTraversalKernel:

@@ -138,7 +138,7 @@ class TestSelfChecks:
     def test_step_that_removes_nothing_is_caught(self, monkeypatch):
         # every step must leave fewer live vertices; a contraction that
         # changes nothing repeats forever unless the loop's bound stops it
-        monkeypatch.setattr(k3e, "contract_arc", lambda d, tail, head, keep: (d, None))
+        monkeypatch.setattr(k3e, "_contract_rows", lambda rows, tail, head, keep, gone_ins, tail_ins: None)
         d = build_digraph(5, [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 2), (3, 4), (4, 0), (4, 2)])
         with pytest.raises(InvariantViolation, match="reductions ran past 5 steps"):
             find_k3e(d, 0)
