@@ -243,7 +243,7 @@ def strong_components(d: Digraph) -> list[list[int]]:
 
 
 def _components(rows, roots) -> list[list[int]]:
-    """Tarjan over sorted out-rows indexed by vertex, from ``roots`` in
+    """Tarjan over out-rows indexed by vertex, from ``roots`` in
     the given order; a vertex no root reaches is left out.  A vertex's
     index is its place on the stack, so its component slices off there,
     and an emitted vertex's index becomes ``n``, above every low-link,
@@ -272,8 +272,8 @@ def _components(rows, roots) -> list[list[int]]:
             else:
                 work.pop()
                 if low[v] == index[v]:
-                    comp = stack[low[v]:]
-                    del stack[low[v]:]
+                    comp = stack[index[v]:]
+                    del stack[index[v]:]
                     for w in comp:
                         index[w] = n
                     comp.sort()

@@ -9,10 +9,10 @@ contract the special vertex's out-arc; the loop ends when a two-path
 fan yields the certificate.  Every step works on one list of out-rows
 on the input's own ids (trim and contraction edit it in place): a
 vertex a step removes keeps an empty row, so the live vertices are
-those with out-arcs, and every step leaves fewer of them.  Only the fan query builds a ``Digraph``, from
-the rows as they stand.  Separator and contraction steps push the data
-that lifts a certificate back across them, and the stack is replayed
-in reverse before returning.
+those with out-arcs, and every step leaves fewer of them.  Only the
+fan query builds a ``Digraph``, from the rows as they stand.  Separator
+and contraction steps push the data that lifts a certificate back
+across them, and the stack is replayed in reverse before returning.
 """
 
 from __future__ import annotations
