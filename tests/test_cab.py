@@ -902,6 +902,56 @@ class TestStagedClosures:
         assert any(e.get("via") == "cycle-gadget" for e in log)
 
 
+def _perturbed_staged_host(rng, kind, m, extra, relabel):
+    """A staged host with ``extra`` random new arcs, its ids shuffled
+    when ``relabel`` is set."""
+    base = getattr(synthetic, kind)(m)
+    arcs = set(base.arcs())
+    while extra:
+        u, v = rng.randrange(base.n), rng.randrange(base.n)
+        if u != v and (u, v) not in arcs:
+            arcs.add((u, v))
+            extra -= 1
+    if relabel:
+        perm = list(range(base.n))
+        rng.shuffle(perm)
+        arcs = {(perm[u], perm[v]) for u, v in arcs}
+    return build_digraph(base.n, arcs)
+
+
+class TestClosureSweep:
+    def test_every_closure_attempt_returns_a_certificate(self, monkeypatch):
+        # 60 perturbed staged hosts reach all three chain closures; a good
+        # chain's closure always yields the cycle, so close_chain never
+        # rejects one, and nothing in find_cab may hide it if it did
+        attempts = []
+
+        def recording(*args, **kwargs):
+            try:
+                cert = close_chain(*args, **kwargs)
+            except DigraphError as exc:
+                attempts.append(exc)
+                raise
+            attempts.append(cert)
+            return cert
+
+        close_chain = cab.close_chain
+        monkeypatch.setattr(cab, "close_chain", recording)
+        rng = random.Random(1)
+        outcomes, routes = Counter(), Counter()
+        for i in range(60):
+            d = _perturbed_staged_host(rng, STAGED_KINDS[i % 5], rng.randrange(192, 260),
+                                       rng.randrange(4), i % 2 == 1)
+            log = []
+            found = find_cab(d, 2, 1, budget=10**6, log=log)
+            outcomes[found.reason if isinstance(found, NotFound) else "cert"] += 1
+            routes.update(e["via"] for e in log if e["event"] == "close")
+        assert all(isinstance(cert, SubdivisionCertificate) for cert in attempts)
+        assert outcomes == {"cert": 36, "degree-below-threshold": 24}
+        assert routes == {"arc": 24, "cycle-gadget": 6, "dominating-gadget": 6}
+        assert len(attempts) == sum(routes.values())
+
+
 class TestDispatchLadder:
     def test_wired_host_large_params(self):
         host, _, _ = wired_cycle_host(random.Random(9), 3, 3, 4)
@@ -1067,3 +1117,15 @@ def _golden_answers():
         d = rand_digraph(rng, n, rng.uniform(0.02, 0.4))
         yield f"host {n} {a} {b} {d.m}"
         yield _golden_outcome(d, a, b, 3000)
+
+
+# input errors no other test reaches: each call must raise its named error
+CAB_INPUT_ERRORS = [
+    pytest.param(lambda: embed_gadget_i_or_ii(directed_cycle(4), 1, 0, 1, 4), BadParams, id="embed-on-a-non-arc"),
+]
+
+
+@pytest.mark.parametrize("call,error", CAB_INPUT_ERRORS)
+def test_input_error(call, error):
+    with pytest.raises(error):
+        call()

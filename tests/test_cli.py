@@ -390,3 +390,35 @@ class TestUsageErrors:
         # k3e and directed cycles are polynomial and take no budget
         assert main(["find", "--pattern", pattern, "--in", bivec_k4_file, "--budget", "0"]) == code
 
+
+
+# exits no other test reaches, run in-process; each check reads the
+# output directory, the captured stdout and stderr, and the finder that
+# every verify_upper call was handed
+CLI_ROWS = [
+    pytest.param(["stats", "--in", "{dir}/missing.edges"], 3,
+                 lambda out_dir, out, err, finders: err.startswith("error: "), id="stats-missing-file"),
+    pytest.param(["stats", "--in", "{k3}", "--out", "{dir}/stats.json"], 0,
+                 lambda out_dir, out, err, finders: json.loads((out_dir / "stats.json").read_text()) == {
+                     "n": 3, "m": 6, "min_out_degree": 2, "girth": 2,
+                     "strong_components": 1, "arc_connectivity": 2,
+                 }, id="stats-out-writes-json"),
+    pytest.param(["verify", "--pattern", "dicycle:2", "--k", "1", "--n-max", "3"], 0,
+                 lambda out_dir, out, err, finders: finders == [None] and out.startswith("all-contain"),
+                 id="verify-other-pattern-oracle-alone"),
+]
+
+
+@pytest.mark.parametrize("argv,code,check", CLI_ROWS)
+def test_cli_row(argv, code, check, bivec_k3_file, tmp_path, monkeypatch, capsys):
+    finders = []
+    verify_upper = cli.verify_upper
+
+    def recording(*args, finder, **kwargs):
+        finders.append(finder)
+        return verify_upper(*args, finder=finder, **kwargs)
+
+    monkeypatch.setattr(cli, "verify_upper", recording)
+    assert main([arg.format(dir=tmp_path, k3=bivec_k3_file) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert check(tmp_path, captured.out, captured.err, finders)

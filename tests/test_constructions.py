@@ -100,3 +100,16 @@ class TestJoinNoS4:
     def test_wrong_property(self):
         with pytest.raises(PropertyMismatch):
             join_no_s4(odd_cycle_block(5))
+
+
+# input errors no other test reaches: each block file must raise ParseError
+BAD_BLOCK_FILES = [
+    pytest.param(write_edge_list(directed_cycle(5), comments=["property: no-such-property"]),
+                 id="unknown-property"),
+]
+
+
+@pytest.mark.parametrize("text", BAD_BLOCK_FILES)
+def test_bad_block_file_is_a_parse_error(text):
+    with pytest.raises(ParseError):
+        load_building_block(text)

@@ -430,3 +430,23 @@ class TestIO:
     def test_dot_export(self):
         text = to_dot(build_digraph(2, [(0, 1)]))
         assert "0 -> 1;" in text
+
+
+# input errors no other test reaches: each call must raise its named error
+INPUT_ERRORS = [
+    pytest.param(lambda: read_edge_list("# only a comment\n"), ParseError, id="empty-input"),
+    pytest.param(lambda: read_edge_list("2 x\n"), ParseError, id="non-integer-header"),
+    pytest.param(lambda: read_edge_list("2 1\n0 1 1\n"), ParseError, id="arc-line-not-u-v"),
+    pytest.param(lambda: read_edge_list("2 1\n0 y\n"), ParseError, id="non-integer-arc"),
+    pytest.param(lambda: read_edge_list("2 1\n1 1\n"), ParseError, id="loop-arc"),
+    pytest.param(lambda: read_edge_list("2 1\n0 2\n"), ParseError, id="arc-out-of-range"),
+    pytest.param(lambda: directed_cycle(1), DegeneratePattern, id="directed-cycle-of-one"),
+    pytest.param(lambda: pattern_cab(0, 1), DegeneratePattern, id="cab-without-sources"),
+    pytest.param(lambda: pattern_two_block(1, 2), DegeneratePattern, id="two-block-out-of-order"),
+]
+
+
+@pytest.mark.parametrize("call,error", INPUT_ERRORS)
+def test_input_error(call, error):
+    with pytest.raises(error):
+        call()

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from digraphsub.core import build_digraph, pattern_cab
+from digraphsub.core import Digraph, build_digraph, pattern_cab
 from digraphsub.errors import (
     BadParams,
     BadTarget,
@@ -177,6 +177,15 @@ class TestGadgetRejections:
         broken = dataclasses.replace(gadget, **changes)
         report = validate_gadget(_host(broken.arcs() - {drop}, n=6), broken, b, 4)
         assert not report and report.violation == violation
+
+    def test_q_on_p1_only_on_a_host_with_its_loop(self):
+        # P1's arcs into q include (q, q) when q lies on P1: a loopless host
+        # trips the arc-absent clause first, and only the unchecked
+        # constructor still builds a host holding the loop
+        gadget = Gadget(kind=GadgetKind.TYPE_II_BASIC, p=0, q=1, r=2, p1=(2, 1, 0))
+        assert validate_gadget(_host(gadget.arcs() - {(1, 1)}, n=3), gadget, 1, 4).violation == "arc absent: (1, 1)"
+        report = validate_gadget(Digraph(3, ((1,), (0, 1), (1,))), gadget, 1, 4)
+        assert not report and report.violation == "q lies on P1"
 
 
 def _alt_arcs(path):

@@ -213,3 +213,19 @@ class TestLowerWitness:
         assert witness == bioriented_clique(7)
         assert confirmed
         assert contains_subdivision(witness, pattern_cab(2, 2)) is None
+
+
+# outcomes no other test reaches, each decided in-process
+BUDGET_ROWS = [
+    pytest.param(lambda: verify_upper(k3_minus_e(), 2, 3, budget=1).outcome, "inconclusive",
+                 id="verify-upper-out-of-budget"),
+    # the witness is one vertex smaller than the pattern, so the oracle
+    # answers by size before it spends anything
+    pytest.param(lambda: lower_witness(k3_minus_e(), budget=0), (bioriented_clique(2), True),
+                 id="lower-witness-zero-budget"),
+]
+
+
+@pytest.mark.parametrize("call,expected", BUDGET_ROWS)
+def test_budget_row(call, expected):
+    assert call() == expected

@@ -455,3 +455,19 @@ def _golden_answers():
                 yield _canonical(vertex_disjoint_paths(d, u, v, rng.randrange(1, 5)))
         if trial % 10 == 0:
             yield f"kappa {strong_arc_connectivity(d)}"
+
+
+# input errors no other test reaches: each query must raise BadParams
+BAD_QUERIES = [
+    pytest.param(lambda d: vertex_disjoint_paths(d, 0, 2, 0), id="paths-k-below-one"),
+    pytest.param(lambda d: fan_to_set(d, 0, {1}, 0), id="fan-k-below-one"),
+    pytest.param(lambda d: fan_to_set(d, 0, set(), 1), id="fan-empty-targets"),
+]
+
+
+@pytest.mark.parametrize("query", BAD_QUERIES)
+def test_bad_query_is_bad_params(query):
+    from digraphsub.errors import BadParams
+
+    with pytest.raises(BadParams):
+        query(directed_path(3))
