@@ -35,12 +35,9 @@ from .core import (
 from .cycle_embed import certificate_from_cycle, digraph_cycle_shape
 from .errors import (
     BadParams,
-    ChainTooPoor,
-    ClosureInvalid,
     DegeneratePattern,
     DigraphError,
     InvariantViolation,
-    OverlapViolation,
     PreconditionUnverifiable,
     PropertyViolated,
     RetriesExhausted,
@@ -605,9 +602,7 @@ def _scan(work, growth: _Growth, i0: int, params: CabParams, budget: SearchBudge
         if i0 > 0:
             x_hit = next((x for x in work.out_nbrs(u) if index.get(x, i0) < i0), None)
             if x_hit is not None:
-                cert = _close_via_arc(work, growth, parent, u, x_hit, params, log)
-                if cert is not None:
-                    return cert
+                return _close_via_arc(work, growth, parent, u, x_hit, params, log)
 
         if u != vm:
             w = parent[u]
@@ -617,9 +612,7 @@ def _scan(work, growth: _Growth, i0: int, params: CabParams, budget: SearchBudge
                 if _extend_with_fresh_gadget(growth, parent, u, gadget, params):
                     return "fresh-gadget"
             elif i0 > 0 and all(index[x] < i0 for x in touched):
-                cert = _close_via_gadget(work, growth, parent, u, gadget, params, log)
-                if cert is not None:
-                    return cert
+                return _close_via_gadget(work, growth, parent, u, gadget, params, log)
 
         if dist[u] < params.a2_gap:
             for wnext in work.out_nbrs(u):
@@ -631,17 +624,11 @@ def _scan(work, growth: _Growth, i0: int, params: CabParams, budget: SearchBudge
 
 
 def _close_from(work, growth: _Growth, idx: int, tail: Path, closure, via: str, params, log):
-    """Close the chain cut at spine index ``idx`` and extended by ``tail``.
-
-    Returns the certificate, or None when ``close_chain`` rejects the
-    closure.
-    """
+    """Close the chain cut at spine index ``idx`` and extended by ``tail``."""
     # every tail is a repeat-free run of explored vertices, none on the chain
     trial = growth.cut(idx, tail)
-    try:
-        cert = close_chain(work, trial, closure, params.a, params.b)
-    except (ClosureInvalid, ChainTooPoor, OverlapViolation, BadParams):
-        return None
+    # no catch: a cut past tail_window keeps a gadget every a2_gap arcs, and a good chain always closes
+    cert = close_chain(work, trial, closure, params.a, params.b)
     log.append({"event": "close", "via": via, "spine": trial.m})
     return cert
 
@@ -690,16 +677,13 @@ def _extend_with_fresh_gadget(growth: _Growth, parent, u, gadget: Gadget, params
     q_path = path_to(parent, growth.spine[-1], u)
 
     if gadget.kind is GadgetKind.TYPE_II_EXTENDED:
+        # no check: every P1 vertex dominates u, so the BFS meets P1 on q_path only at q_path[-2]
         gadget = _chain_form(gadget)
-        if gadget.vertices() & set(q_path) != {q_path[-2], u}:
-            return False
         lead = q_path[1:-1]
     else:
-        # anchor the cycle at the first explored-path vertex it touches;
-        # that may be the chain's head itself
+        # anchor the cycle at the first explored-path vertex it touches,
+        # maybe the chain's head; no path vertex before it, so not rotated[1], is on the cycle
         j, rotated = _rotate_onto_path(gadget.cycle, q_path)
-        if rotated[1] in q_path[:j]:
-            return False
         gadget = Gadget(kind=GadgetKind.TYPE_I, p=rotated[0], q=rotated[1], cycle=rotated)
         lead = q_path[1 : j + 1]
 
