@@ -633,9 +633,9 @@ def _intersection_case_reachable(g: Gadget, gstar: Gadget, inter, b: int) -> Alt
         hits = combined.vertices() & {g.p, g.q}
         if hits == {combined.t[-1]}:
             return combined
-        if combined.t[-1] == g.q and weak is None:
+        if combined.t[-1] == g.q:
             weak = combined
-    # no raise: only the q candidate, tried first, can miss, and it ends at g.q
+    # no raise: a candidate misses only with q in gstar, and then the q candidate, tried first, is kept
     return weak
 
 
