@@ -612,7 +612,9 @@ def _scan(work, growth: _Growth, i0: int, params: CabParams, budget: SearchBudge
                 if _extend_with_fresh_gadget(growth, parent, u, gadget, params):
                     return "fresh-gadget"
             elif i0 > 0 and all(index[x] < i0 for x in touched):
-                return _close_via_gadget(work, growth, parent, u, gadget, params, log)
+                cert = _close_via_gadget(work, growth, parent, u, gadget, params, log)
+                if cert is not None:
+                    return cert
 
         if dist[u] < params.a2_gap:
             for wnext in work.out_nbrs(u):
@@ -643,11 +645,15 @@ def _close_via_arc(work, growth, parent, u, x, params, log):
 
 def _close_via_gadget(work, growth, parent, u, gadget, params, log):
     """Condition-2 (dominating) or condition-1 (cycle) closure through a
-    gadget that touches the chain, and only its old part."""
+    gadget that touches the chain, and only its old part; None when a
+    dominating gadget also holds an explored-path vertex before its p."""
     index = growth.index
     q_path = path_to(parent, growth.spine[-1], u)
 
     if gadget.kind is GadgetKind.TYPE_II_EXTENDED:
+        # from b = 2 on its second walk can pass through p's parent; close_chain refuses that
+        if not gadget.vertices().isdisjoint(q_path[1:-2]):
+            return None
         idx = max(index[x] for x in gadget.vertices() if x in index)
         return _close_from(work, growth, idx, q_path[1:-1],
                            Condition2(zstar=u, gstar=gadget), "dominating-gadget", params, log)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -900,6 +901,51 @@ class TestStagedClosures:
         assert not isinstance(cert, NotFound)
         assert validate_certificate(d, pattern_cab(2, 1), cert)
         assert any(e.get("via") == "cycle-gadget" for e in log)
+
+    def test_dominating_closure_gadget_on_the_tail_is_skipped(self):
+        # at b = 2 the second walk of the gadget at (w, u) runs through w's
+        # parent y, so that closure gadget meets the explored path before
+        # its p, which close_chain refuses; find_cab skips it and misses
+        d, (y, w, u, old) = _tail_meeting_closure_host()
+        gstar = embed_gadget_i_or_ii(d, w, u, 2, CabParams(a=2, b=2).g)
+        assert gstar.kind is GadgetKind.TYPE_II_EXTENDED and {y, old} <= gstar.vertices()
+        log = []
+        found = find_cab(d, 2, 2, budget=10**6, log=log)
+        assert isinstance(found, NotFound) and found.reason == "degree-below-threshold"
+        assert not any(e["event"] in ("close", "contract") for e in log)
+
+
+def _tail_meeting_closure_host(m=3030):
+    """A b = 2 path of dominating ladders, long enough to close past the
+    tail window, whose head runs on to y, w and u.  The second walk of the
+    gadget at (w, u) is y and then spine vertex 5, on the chain's old
+    part.  Every other arc the head's scan explores gets a ladder whose
+    second walk ends on spine vertex m - 6, in the tail window, so it
+    moves nothing.  Returns the host and (y, w, u, 5)."""
+    arcs = []
+    ids = itertools.count(m + 2)
+    walk = 8  # first-walk steps, 2b^2 + b - 2 at b = 2
+
+    def ladder(p, q, first=None, second=None):
+        # each first-walk vertex sends arcs to the one before and to q,
+        # each second-walk vertex to the one before and to the next-to-last
+        zs = [p, next(ids) if first is None else first, *(next(ids) for _ in range(walk - 1))]
+        arcs.extend(a for z0, z1 in zip(zs, zs[1:]) for a in ((z1, z0), (z1, q)))
+        ws = [zs[-1], *(second or (next(ids), next(ids)))]
+        arcs.extend(a for w0, w1 in zip(ws, ws[1:]) for a in ((w1, w0), (w1, zs[-2])))
+        return zs
+
+    for i in range(m - 1):
+        arcs.append((i, i + 1))
+        ladder(i, i + 1)
+    head, old, tail = m - 1, 5, m - 6
+    w, y, u = m, m + 1, next(ids)
+    arcs.extend([(head, y), (y, w), (w, u)])
+    zs = ladder(w, u, second=(y, old))
+    for p, q, first in [(head, y, None), (y, w, None), (y, zs[-2], old), (y, zs[-1], None),
+                        *((zs[k], zs[k - 1], None) for k in range(walk - 1, 1, -1))]:
+        ladder(p, q, first, (next(ids), tail))
+    return build_digraph(next(ids), arcs), (y, w, u, old)
 
 
 def _perturbed_staged_host(rng, kind, m, extra, relabel):

@@ -391,7 +391,6 @@ class TestUsageErrors:
         assert main(["find", "--pattern", pattern, "--in", bivec_k4_file, "--budget", "0"]) == code
 
 
-
 # exits no other test reaches, run in-process; each check reads the
 # output directory, the captured stdout and stderr, and the finder that
 # every verify_upper call was handed

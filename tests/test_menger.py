@@ -14,7 +14,7 @@ from digraphsub.core import (
     bfs_levels,
 )
 from digraphsub import menger
-from digraphsub.errors import ArcPresent, EmptyGraph, SameVertex, VertexInSet, VertexOutOfRange
+from digraphsub.errors import ArcPresent, BadParams, EmptyGraph, SameVertex, VertexInSet, VertexOutOfRange
 from digraphsub.menger import (
     fan_to_set,
     strong_arc_connectivity,
@@ -467,7 +467,5 @@ BAD_QUERIES = [
 
 @pytest.mark.parametrize("query", BAD_QUERIES)
 def test_bad_query_is_bad_params(query):
-    from digraphsub.errors import BadParams
-
     with pytest.raises(BadParams):
         query(directed_path(3))
