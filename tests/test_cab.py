@@ -942,6 +942,7 @@ def _tail_meeting_closure_host(m=3030):
     w, y, u = m, m + 1, next(ids)
     arcs.extend([(head, y), (y, w), (w, u)])
     zs = ladder(w, u, second=(y, old))
+    # 5 is already a common in-neighbour of y and zs[-2], so that ladder starts there
     for p, q, first in [(head, y, None), (y, w, None), (y, zs[-2], old), (y, zs[-1], None),
                         *((zs[k], zs[k - 1], None) for k in range(walk - 1, 1, -1))]:
         ladder(p, q, first, (next(ids), tail))
