@@ -494,16 +494,14 @@ class _Growth:
     """The chain under growth, kept so that an extension touches only
     the entries it adds.
 
-    ``spine`` and ``gadgets`` are the chain's spine and gadget map,
-    ``on_spine`` holds the spine's vertices, and ``index`` maps each
-    chain vertex to the largest arc index holding it: spine[j] to
-    min(j, m - 1), a gadget's other vertices to its arc.  A closure
-    attempt takes a plain ``Chain`` from ``cut``.
+    ``spine`` and ``gadgets`` are the chain's spine and gadget map, and
+    ``index`` maps each chain vertex to the largest arc index holding
+    it: spine[j] to min(j, m - 1), a gadget's other vertices to its
+    arc.  A closure attempt takes a plain ``Chain`` from ``cut``.
     """
 
     def __init__(self, head: int):
         self.spine = [head]
-        self.on_spine = {head}
         self.gadgets: dict[int, Gadget] = {}
         self.index: dict[int, int] = {}
 
@@ -514,13 +512,14 @@ class _Growth:
     def extend(self, lead: Path, gadget: Gadget) -> bool:
         """Continue the spine by the dipath ``lead``, which ends at the
         gadget's p, then by its q, with the gadget on that last arc;
-        False, and nothing changed, when the spine would repeat a vertex."""
+        False, and nothing changed, when the added vertices repeat or
+        meet the chain."""
         added = lead + (gadget.q,)
-        if len(set(added)) != len(added) or not self.on_spine.isdisjoint(added):
+        # index holds every spine vertex from the seed on, and the seed's q is not its head
+        if len(set(added)) != len(added) or not self.index.keys().isdisjoint(added):
             return False
         first = self.m
         self.spine.extend(added)
-        self.on_spine.update(added)
         last = self.m - 1
         self.gadgets[last] = gadget
         self.index.update((self.spine[j], j) for j in range(first, last + 1))
@@ -679,7 +678,7 @@ def _rotate_onto_path(cyc: Path, q_path: Path) -> tuple[int, Path]:
 
 def _extend_with_fresh_gadget(growth: _Growth, parent, u, gadget: Gadget, params: CabParams) -> bool:
     """Append the explored path and a fresh gadget to the chain; False
-    when the chain cannot take them."""
+    when the gadget is larger than a good chain allows."""
     q_path = path_to(parent, growth.spine[-1], u)
 
     if gadget.kind is GadgetKind.TYPE_II_EXTENDED:
@@ -695,12 +694,8 @@ def _extend_with_fresh_gadget(growth: _Growth, parent, u, gadget: Gadget, params
 
     if len(gadget.vertices()) > params.max_gadget_size:
         return False
-    # the gadget may meet the extended spine only at its own arc
-    added = set(lead)
-    added.add(gadget.q)
-    met = {x for x in gadget.vertices() if x in added or x in growth.on_spine}
-    if met != {lead[-1] if lead else growth.spine[-1], gadget.q}:
-        return False
+    # no spine check: the scan passes a gadget meeting the chain at most at its head,
+    # and each branch above keeps the lead off the gadget but at p, so extend takes it
     return growth.extend(lead, gadget)
 
 

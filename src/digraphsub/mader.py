@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .core import Digraph, bioriented_clique
-from .errors import BadParams, BudgetExceeded, InvariantViolation, TooLarge
+from .errors import BadParams, BudgetExceeded, TooLarge
 from .oracle import DEFAULT_BUDGET, as_budget, contains_subdivision, require_valid
 
 EXHAUSTIVE_LIMIT = 5
@@ -230,20 +230,13 @@ def verify_upper(
     )
 
 
-def lower_witness(pattern: Digraph, budget: int = DEFAULT_BUDGET) -> tuple[Digraph, bool]:
-    """The bioriented clique one vertex smaller than the pattern, plus
-    whether the oracle confirmed it hosts no subdivision.
+def lower_witness(pattern: Digraph) -> Digraph:
+    """The bioriented clique one vertex smaller than the pattern.
 
-    The confirmation flag is False only if the budget ran out; the
-    witness itself is size-forced regardless.
+    It hosts no subdivision of the pattern, since a subdivision has at
+    least as many vertices as its pattern; so no search is run.  A
+    pattern with fewer than two vertices raises ``BadParams``.
     """
     if pattern.n < 2:
-        raise TooLarge("pattern needs at least two vertices")
-    witness = bioriented_clique(pattern.n - 1)
-    try:
-        confirmed = contains_subdivision(witness, pattern, budget) is None
-    except BudgetExceeded:
-        return witness, False
-    if not confirmed:
-        raise InvariantViolation("a smaller clique hosts the pattern")
-    return witness, True
+        raise BadParams("pattern needs at least two vertices")
+    return bioriented_clique(pattern.n - 1)

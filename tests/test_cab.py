@@ -294,6 +294,15 @@ class TestEmbedIOrII:
             embed_gadget_i_or_ii(host, 0, 1, 1, 4)
         assert info.value.arc == (0, 1)
 
+    def test_back_dipath_past_its_depth_is_girth_too_small(self):
+        # the first walk 0, 2, .., 5 hits at 5 (1 -> 6 -> 5), but the only
+        # 1-to-0 dipath runs back down the walk: 6 arcs, past 2g - 2 = 4
+        host = build_digraph(7, [(0, 1), (1, 6), (2, 0), *((z, z - 1) for z in range(3, 7)),
+                                 *((z, 1) for z in range(2, 7))])
+        with pytest.raises(cab._Stuck) as info:
+            embed_gadget_i_or_ii(host, 0, 1, 3, 3)
+        assert (info.value.reason, info.value.details) == ("girth-too-small", {"arc": (0, 1)})
+
     @pytest.mark.parametrize("b", [0, -1])
     def test_walk_length_below_one_is_bad_params(self, b):
         with pytest.raises(BadParams):
@@ -501,7 +510,7 @@ class TestChainLookups:
         # the new first arc and leaves every other old entry alone
         previous = None
         for growth, chain in _growth_steps():
-            held = (growth.spine, growth.on_spine, growth.gadgets, growth.index)
+            held = (growth.spine, growth.gadgets, growth.index)
             if previous is not None and previous[0] is growth:
                 _, containers, before, old_m = previous
                 assert all(now is then for now, then in zip(held, containers))
@@ -514,7 +523,7 @@ class TestChainLookups:
             assert growth.index == {
                 x: _reference_gadget_index_of(chain, x, chain.m) for x in _reference_chain_vertices(chain)
             }
-            assert (tuple(growth.spine), growth.on_spine, growth.gadgets) == (chain.spine, set(chain.spine), chain.gadgets)
+            assert (tuple(growth.spine), growth.gadgets) == (chain.spine, chain.gadgets)
             tail = (max(growth.index) + 1, max(growth.index) + 2)
             for i in range(chain.m):
                 sub = chain.subchain(i, chain.m)
@@ -524,20 +533,18 @@ class TestChainLookups:
 
 class TestFreshGadgetChecks:
     def test_rejections_leave_the_growth_state_unchanged(self):
-        # a fresh gadget larger than a good chain allows, or one meeting
-        # the extended spine off its own arc, is refused; the explored
-        # path runs 1 -> 10 -> 11 and every cycle below goes through
-        # (10, 11), so the lead is (10,)
+        # a fresh gadget larger than a good chain allows is refused; the
+        # explored path runs 1 -> 10 -> 11 and every cycle below goes
+        # through (10, 11), so the lead is (10,)
         params = CabParams(a=2, b=1)
         growth = cab._Growth(0)
         growth.extend((), gadgets.Gadget(kind=GadgetKind.TYPE_I, p=0, q=1, cycle=(0, 1, 2, 3)))
         parent = {10: 1, 11: 10}
-        state = (list(growth.spine), set(growth.on_spine), dict(growth.gadgets), dict(growth.index))
+        state = (list(growth.spine), dict(growth.gadgets), dict(growth.index))
         too_large = (10, 11, *range(100, 100 + params.max_gadget_size - 1))
-        for cycle in (too_large, (10, 11, 0, 12)):
-            gadget = gadgets.Gadget(kind=GadgetKind.TYPE_I, p=10, q=11, cycle=cycle)
-            assert not cab._extend_with_fresh_gadget(growth, parent, 11, gadget, params)
-            assert (growth.spine, growth.on_spine, growth.gadgets, growth.index) == state
+        gadget = gadgets.Gadget(kind=GadgetKind.TYPE_I, p=10, q=11, cycle=too_large)
+        assert not cab._extend_with_fresh_gadget(growth, parent, 11, gadget, params)
+        assert (growth.spine, growth.gadgets, growth.index) == state
         gadget = gadgets.Gadget(kind=GadgetKind.TYPE_I, p=10, q=11, cycle=too_large[:-1])
         assert cab._extend_with_fresh_gadget(growth, parent, 11, gadget, params)
         assert growth.spine == [0, 1, 10, 11] and growth.gadgets[2] == gadget

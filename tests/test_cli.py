@@ -37,7 +37,6 @@ class TestBudgetDefault:
     @pytest.mark.parametrize("argv", [
         ["find", "--in", "host.edges", "--pattern", "cab:2,1"],
         ["verify", "--pattern", "k3e", "--k", "2"],
-        ["witness", "--pattern", "k3e"],
     ])
     def test_budget_defaults_to_library_default(self, argv):
         assert build_parser().parse_args(argv).budget == DEFAULT_BUDGET
@@ -336,7 +335,7 @@ class TestWitness:
         out = tmp_path / "w.edges"
         code = main(["witness", "--pattern", "twoblock:3,2", "--out", str(out)])
         assert code == 0
-        assert "oracle-confirmed: True" in capsys.readouterr().out
+        assert "witness on 4 vertices" in capsys.readouterr().out
 
     @pytest.mark.parametrize("spec", ["bivec-clique:1", "transitive:0"])
     def test_pattern_below_two_vertices_exit_4(self, spec, capsys):
@@ -353,6 +352,7 @@ class TestUsageErrors:
         ["frobnicate"],
         ["verify", "--pattern", "k3e", "--k", "2", "--mode", "bogus"],
         [],
+        ["witness", "--pattern", "k3e", "--budget", "5"],
     ])
     def test_argparse_errors_exit_4(self, argv, capsys):
         assert main(argv) == 4
@@ -370,10 +370,9 @@ class TestUsageErrors:
         ["find", "--pattern", "dicycle:3", "--in", "host.edges", "--budget", "-3"],
         ["find", "--pattern", "k3e", "--in", "host.edges", "--budget", "-3"],
         ["verify", "--pattern", "twoblock:2,2", "--k", "3", "--n-max", "4", "--budget", "-1"],
-        ["witness", "--pattern", "k3e", "--budget", "-1"],
     ])
     def test_negative_budget_exit_4_before_any_search(self, argv, monkeypatch, capsys):
-        for name in ("_load_graph", "_resolve", "verify_upper", "lower_witness"):
+        for name in ("_load_graph", "_resolve", "verify_upper"):
             monkeypatch.setattr(cli, name, None)
         assert main(argv) == 4
         assert "is negative" in capsys.readouterr().err

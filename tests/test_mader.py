@@ -199,30 +199,26 @@ class TestVerifyUpper:
 
 class TestLowerWitness:
     def test_two_block_32(self):
-        witness, confirmed = lower_witness(pattern_two_block(3, 2))
-        assert witness == bioriented_clique(4)
-        assert confirmed
+        assert lower_witness(pattern_two_block(3, 2)) == bioriented_clique(4)
 
     def test_k3e(self):
-        witness, confirmed = lower_witness(k3_minus_e())
-        assert witness == bioriented_clique(2)
-        assert confirmed
+        assert lower_witness(k3_minus_e()) == bioriented_clique(2)
 
     def test_cab_22(self):
-        witness, confirmed = lower_witness(pattern_cab(2, 2))
+        witness = lower_witness(pattern_cab(2, 2))
         assert witness == bioriented_clique(7)
-        assert confirmed
         assert contains_subdivision(witness, pattern_cab(2, 2)) is None
+
+    @pytest.mark.parametrize("pattern", [bioriented_clique(1), build_digraph(0, [])])
+    def test_pattern_below_two_vertices_is_bad_params(self, pattern):
+        with pytest.raises(BadParams, match="at least two vertices"):
+            lower_witness(pattern)
 
 
 # outcomes no other test reaches, each decided in-process
 BUDGET_ROWS = [
     pytest.param(lambda: verify_upper(k3_minus_e(), 2, 3, budget=1).outcome, "inconclusive",
                  id="verify-upper-out-of-budget"),
-    # the witness is one vertex smaller than the pattern, so the oracle
-    # answers by size before it spends anything
-    pytest.param(lambda: lower_witness(k3_minus_e(), budget=0), (bioriented_clique(2), True),
-                 id="lower-witness-zero-budget"),
 ]
 
 
